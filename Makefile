@@ -1,4 +1,4 @@
-.PHONY: all build test ci trace-smoke multiproc-smoke perf-smoke perf-guard campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test ci trace-smoke multiproc-smoke perf-smoke perf-guard campaign-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -12,13 +12,13 @@ build:
 test:
 	dune runtest
 
-# Full CI gate: everything compiles (including examples and benches), the
+# Full CI gate: everything compiles (including examples), the
 # whole suite passes — test_faults runs the fault-plan smoke tests with
 # fixed seeds, so regressions in the degradation paths fail here — and
 # traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind.
 ci:
-	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perf-guard && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke
+	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perf-guard && $(MAKE) campaign-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses
@@ -72,19 +72,6 @@ campaign-smoke:
 	  -j 3 --journal /tmp/bcgc-ci-campaign-chaos.journal --chaos kill-workers --chaos-seed 11
 	cmp /tmp/bcgc-ci-campaign.journal.report.json /tmp/bcgc-ci-campaign-chaos.journal.report.json
 
-# Domains smoke: the same example campaign on the fork backend and on the
-# shared-memory domain pool, in separate process invocations (Unix.fork is
-# permanently refused once a domain has been spawned, so the two engines
-# cannot share a process in that order). The consolidated reports must be
-# byte-identical; jobs exceed the 8 cells to exercise the clamp.
-domains-smoke:
-	rm -f /tmp/bcgc-ci-domains-fork.journal* /tmp/bcgc-ci-domains-pool.journal*
-	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 4 --backend fork --journal /tmp/bcgc-ci-domains-fork.journal
-	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 4 --backend domains --journal /tmp/bcgc-ci-domains-pool.journal
-	cmp /tmp/bcgc-ci-domains-fork.journal.report.json /tmp/bcgc-ci-domains-pool.journal.report.json
-
 # SLO smoke: the quick request-serving matrix (shaped + flash load, three
 # collectors). `bench slo` self-validates the written report against the
 # bcgc-slo-report/1 schema (every cell's slo summary must round-trip)
@@ -121,10 +108,10 @@ perf:
 	./_build/default/bin/bcgc.exe bench perf
 
 bench:
-	JOBS=$(JOBS) dune exec bench/main.exe
+	dune exec bin/bcgc.exe -- bench -j $(JOBS) all
 
 bench-full:
-	FULL=1 JOBS=$(JOBS) dune exec bench/main.exe
+	dune exec bin/bcgc.exe -- bench -j $(JOBS) --full all
 
 examples:
 	dune exec examples/quickstart.exe

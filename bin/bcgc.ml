@@ -3,7 +3,7 @@
    Subcommands:
      run     -- run one collector on one workload and print metrics
      list    -- list collectors and workloads
-     bench   -- regenerate a paper table/figure (same as bench/main.exe)
+     bench   -- regenerate a paper table/figure, or run the perf suite
      minheap -- measure a workload's minimum heap for a collector *)
 
 open Cmdliner
@@ -503,7 +503,7 @@ let bench_perf ~reps ~out ~guard =
         1
   end
 
-let bench_cmd target full jobs backend perf_reps perf_out perf_guard slo_out =
+let bench_cmd target full jobs perf_reps perf_out perf_guard slo_out =
   if jobs < 1 then begin
     Printf.eprintf "bcgc bench: -j must be >= 1 (got %d)\n" jobs;
     2
@@ -513,7 +513,6 @@ let bench_cmd target full jobs backend perf_reps perf_out perf_guard slo_out =
     if full then Harness.Experiments.Full else Harness.Experiments.Quick
   in
   Harness.Experiments.set_jobs jobs;
-  Harness.Experiments.set_backend backend;
   if target = "perf" then
     bench_perf ~reps:perf_reps ~out:perf_out ~guard:perf_guard
   else begin
@@ -548,8 +547,8 @@ let load_campaign spec_path =
       Printf.eprintf "bcgc campaign: %s\n" e;
       exit 1
 
-let campaign_run_cmd spec_path resume jobs backend journal_override stop_after
-    chaos chaos_seed =
+let campaign_run_cmd spec_path resume jobs journal_override stop_after chaos
+    chaos_seed =
   let open Harness.Campaign in
   let t = load_campaign spec_path in
   let chaos =
@@ -572,7 +571,7 @@ let campaign_run_cmd spec_path resume jobs backend journal_override stop_after
         exit 1
   in
   match
-    run ~jobs ?backend ?chaos ?stop_after ~resume ?journal_override
+    run ~jobs ?chaos ?stop_after ~resume ?journal_override
       ~log:(fun m -> Printf.printf "%s\n%!" m)
       t
   with
@@ -610,26 +609,6 @@ let campaign_cells_cmd spec_path =
 let campaign_spec_arg =
   let doc = "Campaign spec file (JSON, schema bcgc-campaign/1)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc)
-
-(* Shared by `bench' and `campaign run': the execution engine behind the
-   cell fan-out. Results are byte-identical across all three — the
-   simulation runs in virtual time — only isolation and speed differ. *)
-let backend_arg =
-  let engine =
-    Arg.enum [ ("fork", `Fork); ("domains", `Domains); ("seq", `Seq) ]
-  in
-  let doc =
-    "Execution backend for the cells: `fork' (supervised worker \
-     processes — crash isolation, deadlines, chaos), `domains' \
-     (shared-memory pool of OCaml domains with work stealing — no \
-     per-cell fork/Marshal cost; incompatible with --chaos, and fork \
-     becomes unavailable for the rest of the process), or `seq' \
-     (inline). Default: seq at -j 1, fork otherwise."
-  in
-  Arg.(
-    value
-    & opt (some engine) None
-    & info [ "backend" ] ~docv:"ENGINE" ~doc)
 
 let cmd_campaign =
   let resume =
@@ -678,8 +657,8 @@ let cmd_campaign =
            "Execute a campaign under supervision, journaling each cell; \
             resumable after any crash")
       Term.(
-        const campaign_run_cmd $ campaign_spec_arg $ resume $ jobs
-        $ backend_arg $ journal $ stop_after $ chaos $ chaos_seed)
+        const campaign_run_cmd $ campaign_spec_arg $ resume $ jobs $ journal
+        $ stop_after $ chaos $ chaos_seed)
   in
   let cells_cmd =
     Cmd.v
@@ -739,8 +718,10 @@ let cmd_bench =
   let full = Arg.(value & flag & info [ "full" ]) in
   let jobs =
     let doc =
-      "Fan independent cells out over $(docv) forked workers. Results are \
-       byte-identical to -j 1 — the simulation runs in virtual time."
+      "Fan independent cells out over $(docv) supervised worker processes. \
+       At 1 (the default) cells run inline in this process, as do sweeps \
+       that record traces. Results are byte-identical whatever $(docv) — \
+       the simulation runs in virtual time."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
@@ -783,8 +764,8 @@ let cmd_bench =
           matrix (target `slo'), the adaptive-controller matrix (target \
           `control'), or the wall-clock perf suite (target `perf')")
     Term.(
-      const bench_cmd $ target $ full $ jobs $ backend_arg $ perf_reps
-      $ perf_out $ perf_guard $ slo_out)
+      const bench_cmd $ target $ full $ jobs $ perf_reps $ perf_out
+      $ perf_guard $ slo_out)
 
 let cmd_trace =
   let file =

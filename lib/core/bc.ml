@@ -1435,22 +1435,35 @@ type debug = {
 }
 
 (* Process-wide instance registry keyed by the collector's stats record
-   (physical identity). Collectors are created concurrently once the
-   harness runs cells on the domain pool, so registration and lookup
-   take a lock; entries are immutable pairs, so readers need nothing
-   more. *)
-let debug_registry : (Gc_stats.t * debug) list ref = ref []
+   (physical identity). It must not keep a finished instance alive:
+   [debug]'s closures reach the whole BC state and its simulated heap.
+   So each entry holds its data in an ephemeron, alive only while the
+   key is, plus a weak pointer to the key that lets registration drop
+   dead entries. The library may be driven from several domains, so
+   registration and lookup take a lock. *)
+type registered = {
+  key : Gc_stats.t Weak.t;
+  data : (Gc_stats.t, debug) Ephemeron.K1.t;
+}
+
+let debug_registry : registered list ref = ref []
 
 let debug_registry_lock = Mutex.create ()
 
 let register_debug stats debug =
+  let key = Weak.create 1 in
+  Weak.set key 0 (Some stats);
+  let entry = { key; data = Ephemeron.K1.make stats debug } in
   Mutex.lock debug_registry_lock;
-  debug_registry := (stats, debug) :: !debug_registry;
+  debug_registry :=
+    entry :: List.filter (fun e -> Weak.check e.key 0) !debug_registry;
   Mutex.unlock debug_registry_lock
 
 let find_debug stats =
   Mutex.lock debug_registry_lock;
-  let r = List.find_opt (fun (s, _) -> s == stats) !debug_registry in
+  let r =
+    List.find_map (fun e -> Ephemeron.K1.query e.data stats) !debug_registry
+  in
   Mutex.unlock debug_registry_lock;
   r
 
@@ -1484,7 +1497,7 @@ let make_debug t =
 
 let debug_of (c : Collector.t) =
   match find_debug c.Collector.stats with
-  | Some (_, debug) -> debug
+  | Some debug -> debug
   | None -> invalid_arg "Bc.debug_of: not a bookmarking collector instance"
 
 let factory config heap =

@@ -641,18 +641,10 @@ let take n xs =
   in
   go n [] xs
 
-let run ?(jobs = 1) ?(backend = `Fork) ?chaos ?stop_after ?(resume = false)
-    ?journal_override ?(log = ignore) t =
+let run ?(jobs = 1) ?chaos ?stop_after ?(resume = false) ?journal_override
+    ?(log = ignore) t =
   let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
   let* () = if jobs < 1 then Error "jobs must be >= 1" else Ok () in
-  let* () =
-    match (backend, chaos) with
-    | (`Domains | `Seq), Some _ ->
-        Error
-          "chaos requires the fork backend (only a worker process can be \
-           SIGKILLed)"
-    | _ -> Ok ()
-  in
   let* () =
     match stop_after with
     | Some k when k < 1 -> Error "stop_after must be >= 1"
@@ -763,9 +755,9 @@ let run ?(jobs = 1) ?(backend = `Fork) ?chaos ?stop_after ?(resume = false)
                 else ""))
         in
         let _cells, st =
-          Supervisor.run ~jobs ~backend ~force_fork:true
-            ?deadline_s:t.deadline_s ~attempts:t.retry.attempts
-            ~backoff_s:t.retry.backoff_s ?chaos ~on_result
+          Supervisor.run ~jobs ~force_fork:true ?deadline_s:t.deadline_s
+            ~attempts:t.retry.attempts ~backoff_s:t.retry.backoff_s ?chaos
+            ~on_result
             (fun c -> Run.exec c.plan)
             items
         in

@@ -119,7 +119,6 @@ val report_path : journal:string -> string
 
 val run :
   ?jobs:int ->
-  ?backend:Supervisor.backend ->
   ?chaos:Supervisor.chaos ->
   ?stop_after:int ->
   ?resume:bool ->
@@ -137,12 +136,4 @@ val run :
     attempt, so a chaotic run still converges and reports identically.
     When every cell is accounted for, the consolidated report is
     written atomically (write + rename) to {!report_path} and the
-    campaign completes.
-
-    [backend] selects the execution engine (default [`Fork], which
-    forks even at [jobs = 1] for crash isolation). Under [`Domains]
-    cells run on the shared-memory domain pool: journal appends still
-    happen only in this (coordinating) domain, one writer, same fsync
-    discipline, so journals and reports come out byte-identical to a
-    forked run; [chaos] is rejected (nothing to SIGKILL) and the spec's
-    [deadline_s] is not enforced. *)
+    campaign completes. *)

@@ -63,11 +63,7 @@ let pressure_collectors = [ "BC"; "BC-resize"; "GenMS"; "GenCopy"; "CopyMS"; "Se
 (* Worker count for the experiment matrices (bcgc bench -j N). Cells are
    independent machines in virtual time, so results are byte-identical
    whatever the fan-out; every sweep below computes its whole cell list
-   first and prints afterwards, keeping the output stable too.
-
-   Coordinator-only state, deliberately: these knobs are set once by the
-   CLI before any sweep runs, never from worker domains, so they need no
-   de-globalization for the domain-pool backend. *)
+   first and prints afterwards, keeping the output stable too. *)
 let jobs = ref 1
 
 let set_jobs n =
@@ -78,15 +74,7 @@ let set_jobs n =
 
 let get_jobs () = !jobs
 
-(* None = pick per sweep (sequential at -j 1, forked wider), exactly the
-   pre-backend behaviour. *)
-let backend : Supervisor.backend option ref = ref None
-
-let set_backend b = backend := b
-
-let get_backend () = !backend
-
-let run_cells plans = Parallel.outcomes ~jobs:!jobs ?backend:!backend plans
+let run_cells plans = Parallel.outcomes ~jobs:!jobs plans
 
 let rec chunk n = function
   | [] -> []
@@ -105,7 +93,7 @@ let rec chunk n = function
 let run_matrix ~width plans = chunk width (run_cells plans)
 
 let map_cells ~fallback f xs =
-  Parallel.map ~jobs:!jobs ?backend:!backend f xs
+  Parallel.map ~jobs:!jobs f xs
   |> List.map (function Ok v -> v | Error msg -> fallback msg)
 
 let lost_worker reason =

@@ -8,21 +8,14 @@
 type mode = Quick | Full
 
 val set_jobs : int -> unit
-(** Fan the independent cells of each sweep out over this many workers
-    (see {!Parallel}); default 1 (sequential). Simulation is
+(** Fan the independent cells of each sweep out over this many forked
+    workers (see {!Parallel}); default 1 (sequential). Simulation is
     deterministic in virtual time and every sweep computes its whole
     matrix before printing, so the output is byte-identical whatever
     the worker count.
     @raise Invalid_argument when the count is [< 1]. *)
 
 val get_jobs : unit -> int
-
-val set_backend : Supervisor.backend option -> unit
-(** Execution backend for the sweeps ([bcgc bench --backend]): forked
-    workers, the shared-memory domain pool, or inline. [None] (the
-    default) picks per sweep — sequential at [-j 1], forked wider. *)
-
-val get_backend : unit -> Supervisor.backend option
 
 val table1 : mode -> unit
 (** Table 1: total allocation and measured minimum heap per benchmark,

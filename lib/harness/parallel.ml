@@ -18,22 +18,15 @@ let check_jobs ~who jobs =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "%s: jobs must be >= 1 (got %d)" who jobs)
 
-let map ~jobs ?backend ?deadline_s ?(attempts = 1) f xs =
+let map ~jobs ?deadline_s ?(attempts = 1) f xs =
   check_jobs ~who:"Parallel.map" jobs;
   let items = Array.of_list xs in
   let jobs = min jobs (max 1 (Array.length items)) in
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> if jobs <= 1 then `Seq else `Fork
-  in
-  if backend = `Seq && deadline_s = None && attempts = 1 then
+  if jobs <= 1 && deadline_s = None && attempts = 1 then
     (* plain in-process sweep: same results, no forks, no supervision *)
     Array.to_list (Array.map (wrap f) items)
   else
-    let cells, _stats =
-      Supervisor.run ~jobs ~backend ?deadline_s ~attempts f items
-    in
+    let cells, _stats = Supervisor.run ~jobs ?deadline_s ~attempts f items in
     Array.to_list
       (Array.map
          (function
@@ -60,25 +53,18 @@ let failed_outcome failures =
       partial = None;
     }
 
-let outcomes ~jobs ?backend ?deadline_s ?attempts plans =
+let outcomes ~jobs ?deadline_s ?attempts plans =
   check_jobs ~who:"Parallel.outcomes" jobs;
-  let traced = List.exists Run.Plan.traced plans in
-  let backend =
-    match backend with
-    (* a sink filled in a forked child dies with the child's heap; the
-       domain pool shares this heap, so only the fork backend downgrades *)
-    | Some `Fork when traced -> `Seq
-    | Some b -> b
-    | None -> if traced || jobs <= 1 then `Seq else `Fork
-  in
+  (* a sink filled in a forked child dies with the child's heap *)
+  let jobs = if List.exists Run.Plan.traced plans then 1 else jobs in
   let items = Array.of_list plans in
   let jobs = min jobs (max 1 (Array.length items)) in
-  if backend = `Seq && deadline_s = None && attempts = None then
+  if jobs <= 1 && deadline_s = None && attempts = None then
     (* Run.exec already isolates per-cell failures; nothing to supervise *)
     List.map Run.exec plans
   else
     let cells, _stats =
-      Supervisor.run ~jobs ~backend ?deadline_s ?attempts Run.exec items
+      Supervisor.run ~jobs ?deadline_s ?attempts Run.exec items
     in
     Array.to_list
       (Array.map

@@ -25,32 +25,28 @@ val wrap : ('a -> 'b) -> 'a -> ('b, string) result
 
 val map :
   jobs:int ->
-  ?backend:Supervisor.backend ->
   ?deadline_s:float ->
   ?attempts:int ->
   ('a -> 'b) ->
   'a list ->
   ('b, string) result list
-(** [map ~jobs f xs] applies [f] to every item across [jobs] workers
-    and returns per-item results in input order. [jobs < 1] raises
-    [Invalid_argument]. An item whose [f] raises yields [Error] with
-    the exception text and backtrace; an item whose worker dies or
-    hangs yields [Error] naming the process status or the blown
-    deadline. [deadline_s] bounds each item's wall-clock (fork backend
-    only); [attempts] retries a failed item that many times in total
-    (default 1 — no retry). [backend] picks the engine explicitly; left
-    unset, [jobs <= 1] runs sequentially in this process and anything
-    wider forks.
+(** [map ~jobs f xs] applies [f] to every item across [jobs] supervised
+    forked workers and returns per-item results in input order.
+    [jobs < 1] raises [Invalid_argument]. An item whose [f] raises
+    yields [Error] with the exception text and backtrace; an item whose
+    worker dies or hangs yields [Error] naming the process status or
+    the blown deadline. [deadline_s] bounds each item's wall-clock;
+    [attempts] retries a failed item that many times in total on a
+    fresh worker (default 1 — no retry). With [jobs <= 1] and neither
+    option set, runs sequentially in this process — same results, no
+    forks.
 
-    Under the fork backend [f]'s result must be marshallable (plain
-    data: no closures, no custom blocks) and workers run with their own
-    copy of the heap, so mutations made by [f] are invisible to the
-    parent. Under [`Domains] results are ordinary heap values and no
-    copy exists — cells share this process's memory. *)
+    [f]'s result must be marshallable (plain data: no closures, no
+    custom blocks); workers run with their own copy of the heap, so
+    mutations made by [f] are invisible to the parent. *)
 
 val outcomes :
   jobs:int ->
-  ?backend:Supervisor.backend ->
   ?deadline_s:float ->
   ?attempts:int ->
   Run.Plan.t list ->
@@ -60,8 +56,6 @@ val outcomes :
     [Metrics.Failed] cell whose [reason] carries the supervisor's
     diagnosis (exit status / signal / deadline, plus any backtrace), so
     matrix printers need no second error path. Plans carrying a trace
-    sink never cross a fork — a sink filled in a forked child would be
-    thrown away with the child's heap — so under the (default) fork
-    backend they downgrade to a sequential in-process sweep; the
-    [`Domains] backend runs them in parallel, sinks and all, because
-    pooled domains share this heap. *)
+    sink run sequentially in this process whatever [jobs] says — a sink
+    filled in a forked child would be thrown away with the child's
+    heap. *)

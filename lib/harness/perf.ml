@@ -240,10 +240,8 @@ let bench_write_ref () = ref_bench ~write:true ()
 (* Microbenchmarks: the experiment drivers                              *)
 
 (* 64 deliberately short cells: small heaps, 1% volume. Short cells are
-   where driver overhead dominates — the fork backend pays a worker
-   spawn amortised over the sweep plus Marshal + pipe + select per
-   cell, the domain pool only a deque push/pop per cell — so this pair
-   is the scaling story of the two engines. One op = one cell. *)
+   where driver overhead dominates — a worker spawn amortised over the
+   sweep plus Marshal + pipe + select per cell. One op = one cell. *)
 let driver_cells = 64
 
 let driver_spec =
@@ -262,23 +260,16 @@ let driver_plans () =
 
 let driver_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
-(* [force_fork] so the fork number is honest even at one core: the fork
-   backend's defining costs (spawn, Marshal, pipes, select) are paid
-   regardless of fan-out. NOTE the suite must run the fork sweep —
-   warm-ups included — before the domains sweep ever creates a pool:
-   the runtime forbids Unix.fork once any domain was spawned. The
-   [micro_benches] list order below is that ordering. *)
-let bench_driver_sweep ~backend () =
+(* [force_fork] so the number is honest even at one core: the driver's
+   defining costs (spawn, Marshal, pipes, select) are paid regardless of
+   fan-out. *)
+let bench_driver_fork_sweep () =
   let plans = driver_plans () in
   let jobs = driver_jobs () in
   let t0 = now () in
-  let cells, _ = Supervisor.run ~jobs ~backend ~force_fork:true Run.exec plans in
+  let cells, _ = Supervisor.run ~jobs ~force_fork:true Run.exec plans in
   ignore (cells : Metrics.outcome Supervisor.cell array);
   (float_of_int driver_cells, now () -. t0)
-
-let bench_driver_fork_sweep () = bench_driver_sweep ~backend:`Fork ()
-
-let bench_driver_domains_sweep () = bench_driver_sweep ~backend:`Domains ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-collector wall times                                             *)
@@ -354,8 +345,6 @@ type t = {
       (* name, full-collection ms, reclaim-storm ms, storm outcome *)
 }
 
-(* Order matters at the end: driver_fork_sweep must precede
-   driver_domains_sweep — fork is impossible once a domain exists. *)
 let micro_benches =
   [
     ("touch_resident", bench_touch_resident);
@@ -366,7 +355,6 @@ let micro_benches =
     ("read_ref", bench_read_ref);
     ("write_ref", bench_write_ref);
     ("driver_fork_sweep", bench_driver_fork_sweep);
-    ("driver_domains_sweep", bench_driver_domains_sweep);
   ]
 
 let run ?(repetitions = default_repetitions) ?(progress = fun _ -> ()) () =
@@ -386,9 +374,6 @@ let run ?(repetitions = default_repetitions) ?(progress = fun _ -> ()) () =
         (name, d))
       micro_benches
   in
-  (* the driver sweeps leave idle pooled domains behind; join them so
-     the collector wall-times below run in a single-domain process *)
-  Domain_pool.shutdown_global ();
   let collectors =
     List.map
       (fun name ->

@@ -40,8 +40,8 @@ val default_output : string
 val required_micro : string list
 (** Microbenchmark names the suite always carries (touch_resident,
     touch_span_resident, touch_faulting, sparse_map_giant, alloc_free,
-    read_ref, write_ref, driver_fork_sweep, driver_domains_sweep);
-    {!validate} requires a positive median for each. *)
+    read_ref, write_ref, driver_fork_sweep); {!validate} requires a
+    positive median for each. *)
 
 val default_warmups : int
 (** Unrecorded warm-up passes before the timed repetitions (2): the
@@ -56,10 +56,8 @@ val run : ?repetitions:int -> ?progress:(string -> unit) -> unit -> t
     each headline registry entry. [progress] is called with a label as
     each benchmark starts.
 
-    The driver sweeps run 64 short experiment cells through
-    {!Supervisor.run} on the fork backend and then on the domain pool
-    (in that order — fork is impossible once a domain exists); the pool
-    is shut down again before the collector wall-times run. *)
+    The driver sweep runs 64 short experiment cells through forked
+    {!Supervisor.run} workers. *)
 
 val to_json : t -> Telemetry.Json.t
 

@@ -1,5 +1,3 @@
-type backend = [ `Fork | `Domains | `Seq ]
-
 type failure =
   | Raised of { exn_name : string; reason : string; backtrace : string }
   | Crashed of { status : Unix.process_status }
@@ -224,92 +222,10 @@ let run_sequential ~attempts ~backoff_s ~on_result f items =
   (out, stats)
 
 (* ------------------------------------------------------------------ *)
-(* Shared-memory execution on the domain pool                          *)
-
-(* Cells run as closures on pooled domains; no Marshal, no pipes. The
-   retry loop runs inside the worker (same backoff schedule as the
-   sequential path), so a cell's whole attempt history stays on one
-   domain; stats are tallied in the coordinating domain as completions
-   stream back, because [stats] is a plain mutable record. Deadlines and
-   chaos don't exist here: a domain cannot be SIGKILLed, so runaway
-   cells are bounded by plan event caps instead, and [run] rejects
-   [chaos] for this backend up front. *)
-let run_domains ~jobs ~attempts ~backoff_s ~on_result f items =
-  let stats = fresh_stats () in
-  let pool = Domain_pool.get ~jobs:(min jobs (Array.length items)) in
-  stats.workers_spawned <- Domain_pool.jobs pool;
-  let cell_of x =
-    let failures = ref [] in
-    let rec go attempt =
-      match f x with
-      | v ->
-          Done { value = v; attempts = attempt; failures = List.rev !failures }
-      | exception e ->
-          let fl =
-            Raised
-              {
-                exn_name = Printexc.exn_slot_name e;
-                reason = Printexc.to_string e;
-                backtrace = Printexc.get_backtrace ();
-              }
-          in
-          failures := fl :: !failures;
-          if attempt >= attempts then
-            Quarantined { attempts = attempt; failures = List.rev !failures }
-          else begin
-            Unix.sleepf
-              (Float.min
-                 (backoff_s *. Float.pow 2.0 (float_of_int (attempt - 1)))
-                 (backoff_s *. 8.0));
-            go (attempt + 1)
-          end
-    in
-    go 1
-  in
-  (* a pool-level Error means the retry wrapper itself raised (it never
-     should): surface it as a first-attempt quarantine, not a crash *)
-  let to_cell = function
-    | Ok c -> c
-    | Error (e, backtrace) ->
-        Quarantined
-          {
-            attempts = 1;
-            failures =
-              [
-                Raised
-                  {
-                    exn_name = Printexc.exn_slot_name e;
-                    reason = Printexc.to_string e;
-                    backtrace;
-                  };
-              ];
-          }
-  in
-  let out =
-    Domain_pool.run pool
-      ~on_result:(fun i r ->
-        let c = to_cell r in
-        (match c with
-        | Done { attempts = a; _ } -> stats.retried <- stats.retried + (a - 1)
-        | Quarantined { attempts = a; _ } ->
-            stats.retried <- stats.retried + (a - 1);
-            stats.quarantined <- stats.quarantined + 1);
-        on_result i c)
-      cell_of items
-  in
-  (Array.map to_cell out, stats)
-
-(* ------------------------------------------------------------------ *)
 (* Supervised forked execution                                         *)
 
 let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
     ~on_result f items =
-  if Domain_pool.ever_created () then
-    invalid_arg
-      "Supervisor: the fork backend is unavailable — a domain pool was \
-       already created in this process, and the OCaml runtime forbids \
-       Unix.fork from then on; run fork-backend work first or use \
-       --backend domains";
   let n = Array.length items in
   let stats = fresh_stats () in
   let results : 'b cell option array = Array.make n None in
@@ -569,9 +485,8 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
   ignore (Sys.signal Sys.sigpipe old_sigpipe);
   (Array.map (function Some c -> c | None -> assert false) results, stats)
 
-let run ~jobs ?backend ?deadline_s ?(attempts = 1)
-    ?(backoff_s = default_backoff_s) ?chaos ?(force_fork = false)
-    ?(on_result = fun _ _ -> ()) f items =
+let run ~jobs ?deadline_s ?(attempts = 1) ?(backoff_s = default_backoff_s)
+    ?chaos ?(force_fork = false) ?(on_result = fun _ _ -> ()) f items =
   if attempts < 1 then invalid_arg "Supervisor.run: attempts";
   if jobs < 1 then
     invalid_arg
@@ -580,17 +495,8 @@ let run ~jobs ?backend ?deadline_s ?(attempts = 1)
   if n = 0 then ([||], fresh_stats ())
   else
     let jobs = min jobs n in
-    match Option.value backend ~default:`Fork with
-    | `Seq -> run_sequential ~attempts ~backoff_s ~on_result f items
-    | `Domains ->
-        if chaos <> None then
-          invalid_arg
-            "Supervisor.run: chaos requires the fork backend (only a worker \
-             process can be SIGKILLed)";
-        run_domains ~jobs ~attempts ~backoff_s ~on_result f items
-    | `Fork ->
-        if jobs <= 1 && not force_fork then
-          run_sequential ~attempts ~backoff_s ~on_result f items
-        else
-          run_forked ~jobs ~deadline_s ~attempts ~backoff_s ~chaos ~on_result
-            f items
+    if jobs <= 1 && not force_fork then
+      run_sequential ~attempts ~backoff_s ~on_result f items
+    else
+      run_forked ~jobs ~deadline_s ~attempts ~backoff_s ~chaos ~on_result f
+        items

@@ -11,22 +11,7 @@
 
     Work runs in forked children, so the work function needs no
     marshalling; only each item's {e result} crosses a pipe and must be
-    plain marshallable data. Results come back in input order.
-
-    Since the {!Domain_pool} rewrite the engine is backend-selectable:
-    the same supervision surface can run cells on a shared-memory pool
-    of OCaml 5 domains ([`Domains]) or inline ([`Seq]) instead of
-    forked workers — see {!run}. *)
-
-type backend = [ `Fork | `Domains | `Seq ]
-(** How cells execute. [`Fork]: supervised forked worker processes —
-    crash isolation, per-cell deadlines, chaos. [`Domains]: the shared
-    {!Domain_pool} — no fork/Marshal cost, work stealing, results as
-    heap values; no kill-based supervision (deadlines and chaos are
-    rejected/ignored), and once chosen, [Unix.fork] is unavailable for
-    the rest of the process. [`Seq]: inline in this process (retries
-    still apply). All three produce byte-identical cell values — the
-    simulation runs in virtual time. *)
+    plain marshallable data. Results come back in input order. *)
 
 type failure =
   | Raised of { exn_name : string; reason : string; backtrace : string }
@@ -80,7 +65,6 @@ val describe_failures : failure list -> string
 
 val run :
   jobs:int ->
-  ?backend:backend ->
   ?deadline_s:float ->
   ?attempts:int ->
   ?backoff_s:float ->
@@ -95,27 +79,16 @@ val run :
     [jobs < 1] raises [Invalid_argument] — there is no silent
     sequential fallback.
 
-    [backend] selects the engine (default [`Fork], the historical
-    behaviour). [deadline_s] is the per-cell wall-clock budget
-    (default: none); [attempts] the total tries per cell (default 1);
-    [backoff_s] the base retry delay, doubled per failed attempt and
-    capped at 8x (default 0.1 s). Under [`Fork] with [jobs <= 1] and
-    [force_fork] unset the cells run sequentially in this process —
-    retries still apply, but there are no workers to supervise, so
-    [deadline_s] and [chaos] are ignored. [force_fork] keeps the forked
-    path even at [jobs = 1], for callers (the campaign runner) that
-    need deadline enforcement and crash isolation regardless of
-    fan-out.
-
-    Under [`Domains] the cells run on the process-wide {!Domain_pool}
-    with work stealing; retries run inside the worker domain with the
-    same backoff schedule. [chaos] raises [Invalid_argument] (nothing
-    to SIGKILL) and [deadline_s] is ignored (a domain cannot be killed
-    mid-cell — bound runaway cells with [Run.Plan.with_event_cap]
-    instead). The fork backend additionally raises if a domain pool was
-    ever created in this process: the OCaml runtime forbids [Unix.fork]
-    from that point on, so order fork-backend work first.
+    [deadline_s] is the per-cell wall-clock budget (default: none);
+    [attempts] the total tries per cell (default 1); [backoff_s] the
+    base retry delay, doubled per failed attempt and capped at 8x
+    (default 0.1 s). With [jobs <= 1] and [force_fork] unset the cells
+    run sequentially in this process — retries still apply, but there
+    are no workers to supervise, so [deadline_s] and [chaos] are
+    ignored. [force_fork] keeps the forked path even at [jobs = 1], for
+    callers (the campaign runner) that need deadline enforcement and
+    crash isolation regardless of fan-out.
 
     [on_result] fires in completion order as each cell finalises
-    (done or quarantined), always in the calling domain — the campaign
+    (done or quarantined), always in the calling process — the campaign
     journal's append point. *)

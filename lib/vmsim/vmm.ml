@@ -819,9 +819,9 @@ let touch t ?(write = false) page =
    [set_span_skipping false] forces the literal per-page loop; the
    determinism test compares traces produced both ways byte-for-byte. *)
 
-(* Atomic, not a plain ref: the harness's domain-pool backend runs
-   machines concurrently in one process, and this is process-wide mode
-   state every machine reads on the touch_span hot path. It is toggled
+(* Atomic, not a plain ref: this is process-wide mode state every
+   machine reads on the touch_span hot path, and a program using the
+   library may run machines on several domains at once. It is toggled
    only while machines are quiescent (the determinism test), so a
    sequentially-consistent read costs nothing measurable against the
    span bookkeeping around it. *)

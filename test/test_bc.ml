@@ -300,6 +300,35 @@ let prop_bc_random_pressure =
       c.Collector.check_invariants ();
       true)
 
+(* Host memory: a finished BC instance must not stay reachable. Each
+   run builds a collector over its own simulated heap; once the run
+   returns, nothing outside it may pin that heap, so after a full major
+   GC the live host words must not grow with the number of runs. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.quick_stat ()).Gc.live_words
+
+let test_instances_released () =
+  let plan =
+    Harness.Run.Plan.make ~collector:"BC"
+      ~spec:(Workload.Spec.scale_volume Workload.Benchmarks.pseudojbb 0.05)
+      ~heap_bytes:(4 * 1024 * 1024)
+  in
+  let run () = ignore (Sys.opaque_identity (Harness.Run.exec plan)) in
+  run ();
+  let after_first = live_words () in
+  for _ = 2 to 5 do
+    run ()
+  done;
+  let after_last = live_words () in
+  (* 64K words (512 KB) of slack: far above run-to-run noise, far below
+     one leaked instance *)
+  check Alcotest.bool
+    (Printf.sprintf "live words %d after 5 runs vs %d after 1" after_last
+       after_first)
+    true
+    (after_last - after_first < 65_536)
+
 let () =
   Alcotest.run "bc"
     [
@@ -340,6 +369,11 @@ let () =
         [
           Alcotest.test_case "invariants through pressure" `Quick
             test_invariants_hold_through_pressure_workload;
+        ] );
+      ( "host memory",
+        [
+          Alcotest.test_case "finished instances released" `Quick
+            test_instances_released;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_bc_random_pressure ]);
     ]

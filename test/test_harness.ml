@@ -372,231 +372,9 @@ let test_fmt () =
   check Alcotest.string "ms" "2.35" (Harness.Table.fmt_ms 2.349)
 
 (* ----------------------------------------------------------------- *)
-(* Work-stealing deque                                                 *)
+(* Experiment driver                                                  *)
 
-module Ws_deque = Harness.Ws_deque
-
-(* Single-threaded semantics: the owner pops LIFO from the bottom, a
-   thief takes FIFO from the top, and the two ends meet exactly once. *)
-let test_deque_ends () =
-  let q = Ws_deque.create () in
-  check Alcotest.bool "fresh deque empty" true (Ws_deque.is_empty q);
-  check Alcotest.bool "pop empty" true (Ws_deque.pop q = None);
-  check Alcotest.bool "steal empty" true (Ws_deque.steal q = None);
-  List.iter (Ws_deque.push q) [ 1; 2; 3; 4 ];
-  check Alcotest.int "length" 4 (Ws_deque.length q);
-  check Alcotest.bool "steal oldest" true (Ws_deque.steal q = Some 1);
-  check Alcotest.bool "pop newest" true (Ws_deque.pop q = Some 4);
-  check Alcotest.bool "steal next oldest" true (Ws_deque.steal q = Some 2);
-  check Alcotest.bool "pop last" true (Ws_deque.pop q = Some 3);
-  check Alcotest.bool "drained" true (Ws_deque.is_empty q);
-  (* reusable after reset *)
-  Ws_deque.push q 9;
-  Ws_deque.reset q;
-  check Alcotest.bool "reset empties" true (Ws_deque.pop q = None)
-
-(* Growth: push far past the initial capacity, then drain from both
-   ends; every element must come out exactly once. *)
-let test_deque_grow () =
-  let n = 1000 in
-  let q = Ws_deque.create ~capacity:16 () in
-  for i = 0 to n - 1 do
-    Ws_deque.push q i
-  done;
-  let seen = Array.make n 0 in
-  let rec go flip =
-    match if flip then Ws_deque.steal q else Ws_deque.pop q with
-    | Some v ->
-        seen.(v) <- seen.(v) + 1;
-        go (not flip)
-    | None -> ()
-  in
-  go true;
-  check Alcotest.bool "each element exactly once" true
-    (Array.for_all (fun c -> c = 1) seen)
-
-(* The satellite skew scenario at the deque level, deterministically:
-   every item in ONE deque, consumed exclusively by thief domains. The
-   owner never pops, so the thieves must drain it — and every item must
-   surface exactly once across them. *)
-let test_deque_thieves_drain () =
-  let n = 10_000 in
-  let q = Ws_deque.create () in
-  for i = 0 to n - 1 do
-    Ws_deque.push q i
-  done;
-  let thief () =
-    let mine = ref [] in
-    let rec go () =
-      match Ws_deque.steal q with
-      | Some v ->
-          mine := v :: !mine;
-          go ()
-      | None -> ()
-    in
-    go ();
-    !mine
-  in
-  let d1 = Domain.spawn thief and d2 = Domain.spawn thief in
-  let got = Domain.join d1 @ Domain.join d2 in
-  check Alcotest.bool "deque drained" true (Ws_deque.is_empty q);
-  check Alcotest.int "no item lost or duplicated" n (List.length got);
-  let sorted = List.sort compare got in
-  check Alcotest.bool "exactly 0..n-1" true
-    (List.for_all2 ( = ) sorted (List.init n Fun.id))
-
-(* ----------------------------------------------------------------- *)
-(* Domain pool                                                         *)
-
-module Domain_pool = Harness.Domain_pool
 module Supervisor = Harness.Supervisor
-
-let outcome_str = function
-  | Metrics.Completed m -> Telemetry.Json.to_string (Metrics.to_json m)
-  | other -> Format.asprintf "%a" Metrics.pp_outcome other
-
-let skew_plans () =
-  let spec =
-    {
-      (Workload.Spec.scale_volume Workload.Benchmarks.compress 0.02)
-      with
-      Workload.Spec.immortal_bytes = 60_000;
-      window_bytes = 30_000;
-    }
-  in
-  Array.init 16 (fun i ->
-      let collector = if i land 1 = 0 then "BC" else "GenMS" in
-      Harness.Run.Plan.make ~collector ~spec
-        ~heap_bytes:((512 * 1024) + ((i land 3) * 16_384)))
-
-(* Work stealing under skew (the satellite test): every cell lands in
-   worker 0's deque, yet the round's results must be spec-ordered and
-   byte-identical to a sequential sweep, with the idle worker observed
-   stealing. The steal count is scheduling-dependent on a loaded box,
-   so the round retries a few times before declaring the thief idle —
-   each round re-checks byte identity regardless. *)
-let test_pool_skew () =
-  let plans = skew_plans () in
-  let seq = Array.map (fun p -> outcome_str (Harness.Run.exec p)) plans in
-  let pool = Domain_pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let rec round attempt =
-        let out =
-          Domain_pool.run pool
-            ~partition:(fun _ -> 0)
-            (fun p -> outcome_str (Harness.Run.exec p))
-            plans
-        in
-        let got =
-          Array.map
-            (function Ok s -> s | Error (e, _) -> raise e)
-            out
-        in
-        Array.iteri
-          (fun i s ->
-            check Alcotest.string
-              (Printf.sprintf "cell %d identical to sequential" i)
-              seq.(i) s)
-          got;
-        let st = Domain_pool.last_stats pool in
-        check Alcotest.int "every cell executed"
-          (Array.length plans)
-          (Array.fold_left ( + ) 0 st.Domain_pool.executed);
-        if st.Domain_pool.steals = 0 && attempt < 5 then round (attempt + 1)
-        else
-          check Alcotest.bool "thief stole from the loaded deque" true
-            (st.Domain_pool.steals > 0)
-      in
-      round 1)
-
-(* on_result must fire in the coordinating domain, once per cell. *)
-let test_pool_on_result_coordinator () =
-  let me = Domain.self () in
-  let pool = Domain_pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let fired = Array.make 32 0 in
-      let in_coordinator = ref true in
-      let out =
-        Domain_pool.run pool
-          ~on_result:(fun i _ ->
-            fired.(i) <- fired.(i) + 1;
-            if Domain.self () <> me then in_coordinator := false)
-          (fun x -> x * x)
-          (Array.init 32 Fun.id)
-      in
-      check Alcotest.bool "results in spec order" true
-        (Array.to_list out = List.init 32 (fun i -> Ok (i * i)));
-      check Alcotest.bool "on_result once per cell" true
-        (Array.for_all (fun c -> c = 1) fired);
-      check Alcotest.bool "on_result ran in the coordinating domain" true
-        !in_coordinator)
-
-(* A raising cell yields Error with the exception, and poisons nothing:
-   the same pool keeps serving rounds. *)
-let test_pool_errors_isolated () =
-  let pool = Domain_pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let out =
-        Domain_pool.run pool
-          (fun i -> if i = 3 then failwith "boom" else i)
-          (Array.init 8 Fun.id)
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v -> check Alcotest.int (Printf.sprintf "cell %d" i) i v
-          | Error (Failure m, _) ->
-              check Alcotest.int "only cell 3 fails" 3 i;
-              check Alcotest.string "message" "boom" m
-          | Error (e, _) -> raise e)
-        out;
-      let again =
-        Domain_pool.run pool (fun i -> i + 1) (Array.init 4 Fun.id)
-      in
-      check Alcotest.bool "pool serves the next round" true
-        (Array.to_list again = [ Ok 1; Ok 2; Ok 3; Ok 4 ]))
-
-(* Supervisor on the domains backend: retry accounting matches the
-   sequential semantics, and chaos is rejected up front. *)
-let test_supervisor_domains () =
-  let attempts_seen = Array.init 6 (fun _ -> Atomic.make 0) in
-  let f i =
-    let a = Atomic.fetch_and_add attempts_seen.(i) 1 in
-    if i = 2 && a = 0 then failwith "first attempt fails";
-    i * 10
-  in
-  let cells, stats =
-    Supervisor.run ~jobs:2 ~backend:`Domains ~attempts:2 ~backoff_s:0.001 f
-      (Array.init 6 Fun.id)
-  in
-  Array.iteri
-    (fun i c ->
-      match c with
-      | Supervisor.Done { value; attempts; _ } ->
-          check Alcotest.int (Printf.sprintf "value %d" i) (i * 10) value;
-          check Alcotest.int
-            (Printf.sprintf "attempts %d" i)
-            (if i = 2 then 2 else 1)
-            attempts
-      | Supervisor.Quarantined _ -> Alcotest.fail "unexpected quarantine")
-    cells;
-  check Alcotest.int "one retry tallied" 1 stats.Supervisor.retried;
-  check Alcotest.int "nothing quarantined" 0 stats.Supervisor.quarantined;
-  check Alcotest.bool "chaos rejected on domains" true
-    (match
-       Supervisor.run ~jobs:2 ~backend:`Domains
-         ~chaos:{ Supervisor.chaos_seed = 1; kill_prob = 0.5; max_kills = 1 }
-         Fun.id (Array.init 4 Fun.id)
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Domain_pool.shutdown_global ()
 
 (* jobs <= 0 is a one-line error everywhere, never a silent sequential
    fallback. *)
@@ -609,9 +387,7 @@ let test_jobs_validation () =
   check Alcotest.bool "Parallel.outcomes" true
     (rejects (fun () -> Harness.Parallel.outcomes ~jobs:(-1) []));
   check Alcotest.bool "Experiments.set_jobs" true
-    (rejects (fun () -> Harness.Experiments.set_jobs 0));
-  check Alcotest.bool "Domain_pool.create" true
-    (rejects (fun () -> Domain_pool.create ~jobs:0))
+    (rejects (fun () -> Harness.Experiments.set_jobs 0))
 
 let () =
   Alcotest.run "harness"
@@ -657,20 +433,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_chart_empty;
         ] );
       ("format", [ Alcotest.test_case "fmt" `Quick test_fmt ]);
-      ( "ws_deque",
-        [
-          Alcotest.test_case "both ends" `Quick test_deque_ends;
-          Alcotest.test_case "grow" `Quick test_deque_grow;
-          Alcotest.test_case "thieves drain" `Quick test_deque_thieves_drain;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "skewed round steals" `Quick test_pool_skew;
-          Alcotest.test_case "on_result in coordinator" `Quick
-            test_pool_on_result_coordinator;
-          Alcotest.test_case "errors isolated" `Quick test_pool_errors_isolated;
-          Alcotest.test_case "supervisor domains backend" `Quick
-            test_supervisor_domains;
-          Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
-        ] );
+      ( "driver",
+        [ Alcotest.test_case "jobs validation" `Quick test_jobs_validation ] );
     ]

@@ -375,14 +375,10 @@ let test_traced_untraced_agree () =
         (strip_digest (strip b)))
     [ false; true ]
 
-(* Every execution backend must produce byte-for-byte the matrix the
-   golden records: the simulation is deterministic in virtual time, so
-   fork workers, pooled domains and the sequential loop may differ only
-   in wall-clock. Ordering matters twice over — fork before domains
-   within the test (the runtime forbids Unix.fork once a domain has
-   ever been spawned), and the test itself last in the suite so no
-   earlier test is denied fork. *)
-let test_backend_equivalence () =
+(* Forked workers must produce byte-for-byte the matrix the golden
+   records: the simulation is deterministic in virtual time, so fork
+   workers and the sequential loop may differ only in wall-clock. *)
+let test_fork_equivalence () =
   let items =
     Array.of_list
       (List.concat_map
@@ -397,10 +393,10 @@ let test_backend_equivalence () =
   in
   let exec (collector, paging, traced) = run_cell ~collector ~paging ~traced in
   let seq = Array.map exec items in
-  let values backend =
-    let cells, _ =
-      Harness.Supervisor.run ~jobs:2 ~backend ~force_fork:true exec items
-    in
+  let cells, _ =
+    Harness.Supervisor.run ~jobs:2 ~force_fork:true exec items
+  in
+  let forked =
     Array.map
       (function
         | Harness.Supervisor.Done { value; _ } -> value
@@ -408,23 +404,18 @@ let test_backend_equivalence () =
             Alcotest.fail (Harness.Supervisor.describe_failures failures))
       cells
   in
-  let forked = values `Fork in
-  let domains = values `Domains in
-  Harness.Domain_pool.shutdown_global ();
   Array.iteri
     (fun i (collector, paging, traced) ->
-      let label suffix =
-        Printf.sprintf "%s paging=%b traced=%b (%s)" collector paging traced
-          suffix
-      in
-      Alcotest.check Alcotest.string (label "fork = seq") seq.(i) forked.(i);
-      Alcotest.check Alcotest.string (label "domains = seq") seq.(i) domains.(i))
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "%s paging=%b traced=%b (fork = seq)" collector paging
+           traced)
+        seq.(i) forked.(i))
     items;
-  (* and the domains sweep reproduces the seed golden verbatim *)
+  (* and the fork sweep reproduces the seed golden verbatim *)
   if Sys.file_exists golden_path then
-    Alcotest.check Alcotest.string "domains sweep vs seed golden"
+    Alcotest.check Alcotest.string "fork sweep vs seed golden"
       (read_file golden_path)
-      (String.concat "\n" (Array.to_list domains) ^ "\n")
+      (String.concat "\n" (Array.to_list forked) ^ "\n")
 
 let () =
   Alcotest.run "identity"
@@ -442,7 +433,6 @@ let () =
             test_skip_determinism_faulted;
           Alcotest.test_case "traced = untraced" `Quick
             test_traced_untraced_agree;
-          Alcotest.test_case "fork = domains = sequential" `Quick
-            test_backend_equivalence;
+          Alcotest.test_case "fork = sequential" `Quick test_fork_equivalence;
         ] );
     ]
