@@ -16,6 +16,8 @@ type t = {
   ms : Gc_common.Ms_space.t;
   los : Gc_common.Large_object_space.t;
   mutable epoch : int;
+  grow_ms : unit -> bool;  (* built once: a closure per call allocates *)
+  grow_los : npages:int -> bool;
 }
 
 let budget_pages t = Gc_common.Gc_config.heap_pages t.config
@@ -33,6 +35,10 @@ let copy_limit t =
   Gen_shared.nursery_limit t.config
     ~mature_bytes:(mature_pages t * Vmsim.Page.size)
 
+let grow_ms t () = mature_pages t + 1 <= budget_pages t - min_copy_pages
+
+let grow_los t ~npages = mature_pages t + npages <= budget_pages t
+
 let in_young t id =
   Heapsim.Object_table.space (Heapsim.Heap.objects t.heap) id
   = Space_tag.nursery
@@ -40,17 +46,15 @@ let in_young t id =
 let copy_young t id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  let grow () = mature_pages t + 1 <= budget_pages t - min_copy_pages in
-  match Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow with
-  | None ->
-      raise
-        (Collector.Heap_exhausted
-           (name ^ ": mature space cannot absorb copy-space survivors"))
-  | Some addr ->
-      Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature;
-      (* survivors must outlive the sweep that follows the trace *)
-      Heapsim.Object_table.set_marked objects id true
+  let addr = Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:t.grow_ms in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (name ^ ": mature space cannot absorb copy-space survivors"));
+  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature;
+  (* survivors must outlive the sweep that follows the trace *)
+  Heapsim.Object_table.set_marked objects id true
 
 let collect t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Full
@@ -68,53 +72,52 @@ let collect t =
       Gc_common.Large_object_space.sweep t.los;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
+let los_alloc t size =
+  Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.grow_los
+
+let copy_alloc t size =
+  Gc_common.Bump_space.alloc t.copy_space ~bytes:size
+    ~limit_bytes:(copy_limit t)
+
+(* The slow paths run only once the first attempt has failed. *)
+let los_alloc_slow t size =
+  collect t;
+  let addr = los_alloc t size in
+  if addr < 0 then raise (Collector.Heap_exhausted (name ^ ": large object"));
+  addr
+
+let copy_alloc_slow t size =
+  collect t;
+  let addr = copy_alloc t size in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (Printf.sprintf "%s: cannot allocate %d bytes" name size));
+  addr
+
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
   Gc_stats.record_alloc t.stats ~bytes:size;
   let objects = Heapsim.Heap.objects t.heap in
   if size > Gc_common.Ms_space.max_cell t.ms then begin
-    let grow ~npages = mature_pages t + npages <= budget_pages t in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = los_alloc t size in
+    let addr = if addr >= 0 then addr else los_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.los;
+    Gc_common.Large_object_space.note_object t.los id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
   else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.copy_space ~bytes:size
-        ~limit_bytes:(copy_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          try_alloc ()
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.copy_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = copy_alloc t size in
+    let addr = if addr >= 0 then addr else copy_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.nursery;
+    Vec.push t.copy_objects id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
 
 let check_invariants t =
@@ -129,7 +132,7 @@ let check_invariants t =
     t.copy_objects
 
 let factory config heap =
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -141,6 +144,8 @@ let factory config heap =
       ms = Gc_common.Ms_space.create heap ~name:"ms" ~max_cell:Mark_sweep.max_cell;
       los = Gc_common.Large_object_space.create heap ~name:"los";
       epoch = 0;
+      grow_ms = (fun () -> grow_ms t ());
+      grow_los = (fun ~npages -> grow_los t ~npages);
     }
   in
   {

@@ -23,6 +23,7 @@ type t = {
   los : Gc_common.Large_object_space.t;
   remset : Gc_common.Remset.t;
   mutable epoch : int;
+  grow_los : npages:int -> bool;  (* built once: a closure per call allocates *)
 }
 
 let budget_bytes t = t.config.Gc_common.Gc_config.heap_bytes
@@ -48,13 +49,13 @@ let in_young t id =
 let copy_into t space id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  match Gc_common.Bump_space.alloc space ~bytes:size ~limit_bytes:(half_bytes t) with
-  | None ->
-      raise
-        (Collector.Heap_exhausted (name ^ ": mature semispace overflow"))
-  | Some addr ->
-      Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature
+  let addr =
+    Gc_common.Bump_space.alloc space ~bytes:size ~limit_bytes:(half_bytes t)
+  in
+  if addr < 0 then
+    raise (Collector.Heap_exhausted (name ^ ": mature semispace overflow"));
+  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Minor
@@ -117,59 +118,60 @@ let mature_can_absorb t =
   half_bytes t - mature_used t
   >= Gc_common.Bump_space.used_bytes t.nursery
 
+let grow_los t ~npages =
+  total_pages t + npages <= Gc_common.Gc_config.heap_pages t.config
+
+let los_alloc t size =
+  Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.grow_los
+
+let nursery_alloc t size =
+  Gc_common.Bump_space.alloc t.nursery ~bytes:size
+    ~limit_bytes:(nursery_limit t)
+
+(* The slow paths run only once the first attempt has failed. *)
+let los_alloc_slow t size =
+  full t;
+  let addr = los_alloc t size in
+  if addr < 0 then raise (Collector.Heap_exhausted (name ^ ": large object"));
+  addr
+
+let nursery_alloc_slow t size =
+  if mature_can_absorb t then minor t else full t;
+  let addr = nursery_alloc t size in
+  if addr >= 0 then addr
+  else begin
+    full t;
+    let addr = nursery_alloc t size in
+    if addr < 0 then
+      raise
+        (Collector.Heap_exhausted
+           (Printf.sprintf "%s: cannot allocate %d bytes" name size));
+    addr
+  end
+
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
   Gc_stats.record_alloc t.stats ~bytes:size;
   let objects = Heapsim.Heap.objects t.heap in
   if size > los_threshold then begin
-    let grow ~npages =
-      total_pages t + npages <= Gc_common.Gc_config.heap_pages t.config
-    in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          full t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = los_alloc t size in
+    let addr = if addr >= 0 then addr else los_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.los;
+    Gc_common.Large_object_space.note_object t.los id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
   else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> (
-          if mature_can_absorb t then minor t else full t;
-          match try_alloc () with
-          | Some addr -> Some addr
-          | None ->
-              full t;
-              try_alloc ())
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = nursery_alloc t size in
+    let addr = if addr >= 0 then addr else nursery_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.nursery;
+    Vec.push t.nursery_objects id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
 
 let check_invariants t =
@@ -187,7 +189,7 @@ let check_invariants t =
 let factory config heap =
   let pages = Gc_common.Gc_config.heap_pages config in
   let half_pages = max 1 (pages / 2) in
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -204,6 +206,7 @@ let factory config heap =
       los = Gc_common.Large_object_space.create heap ~name:"los";
       remset = Gc_common.Remset.create ();
       epoch = 0;
+      grow_los = (fun ~npages -> grow_los t ~npages);
     }
   in
   Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->

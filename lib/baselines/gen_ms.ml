@@ -19,6 +19,8 @@ type t = {
   los : Gc_common.Large_object_space.t;
   remset : Gc_common.Remset.t;
   mutable epoch : int;
+  grow_ms : unit -> bool;  (* built once: a closure per call allocates *)
+  grow_los : npages:int -> bool;
 }
 
 let budget_pages t = Gc_common.Gc_config.heap_pages t.config
@@ -34,6 +36,8 @@ let total_pages t =
 
 let grow_ms t () = mature_pages t + 1 <= budget_pages t - min_nursery_pages
 
+let grow_los t ~npages = mature_pages t + npages <= budget_pages t
+
 let nursery_limit t =
   Gen_shared.nursery_limit t.config
     ~mature_bytes:(mature_pages t * Vmsim.Page.size)
@@ -46,14 +50,13 @@ let in_young t id =
 let copy_young t id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  match Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(grow_ms t) with
-  | None ->
-      raise
-        (Collector.Heap_exhausted
-           (name ^ ": mature space cannot absorb nursery survivors"))
-  | Some addr ->
-      Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature
+  let addr = Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:t.grow_ms in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (name ^ ": mature space cannot absorb nursery survivors"));
+  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Minor
@@ -99,57 +102,57 @@ let mature_can_absorb t =
   Gc_common.Ms_space.free_bytes t.ms + growable_bytes
   >= Gc_common.Bump_space.used_bytes t.nursery
 
+let los_alloc t size =
+  Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.grow_los
+
+let nursery_alloc t size =
+  Gc_common.Bump_space.alloc t.nursery ~bytes:size
+    ~limit_bytes:(nursery_limit t)
+
+(* The slow paths run only once the first attempt has failed. *)
+let los_alloc_slow t size =
+  full t;
+  let addr = los_alloc t size in
+  if addr < 0 then raise (Collector.Heap_exhausted (name ^ ": large object"));
+  addr
+
+let nursery_alloc_slow t size =
+  if mature_can_absorb t then minor t else full t;
+  let addr = nursery_alloc t size in
+  if addr >= 0 then addr
+  else begin
+    full t;
+    let addr = nursery_alloc t size in
+    if addr < 0 then
+      raise
+        (Collector.Heap_exhausted
+           (Printf.sprintf "%s: cannot allocate %d bytes" name size));
+    addr
+  end
+
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
   Gc_stats.record_alloc t.stats ~bytes:size;
   let objects = Heapsim.Heap.objects t.heap in
   if size > Gc_common.Ms_space.max_cell t.ms then begin
-    let grow ~npages = mature_pages t + npages <= budget_pages t in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          full t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = los_alloc t size in
+    let addr = if addr >= 0 then addr else los_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.los;
+    Gc_common.Large_object_space.note_object t.los id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
   else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> (
-          if mature_can_absorb t then minor t else full t;
-          match try_alloc () with
-          | Some addr -> Some addr
-          | None ->
-              full t;
-              try_alloc ())
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = nursery_alloc t size in
+    let addr = if addr >= 0 then addr else nursery_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.nursery;
+    Vec.push t.nursery_objects id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
 
 let check_invariants t =
@@ -212,7 +215,7 @@ let register_cooperative t =
     }
 
 let factory config heap =
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -225,6 +228,8 @@ let factory config heap =
       los = Gc_common.Large_object_space.create heap ~name:"los";
       remset = Gc_common.Remset.create ();
       epoch = 0;
+      grow_ms = (fun () -> grow_ms t ());
+      grow_los = (fun ~npages -> grow_los t ~npages);
     }
   in
   Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->

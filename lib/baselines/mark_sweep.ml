@@ -14,6 +14,8 @@ type t = {
   ms : Gc_common.Ms_space.t;
   los : Gc_common.Large_object_space.t;
   stats : Gc_stats.t;
+  grow_ms : unit -> bool;  (* built once: a closure per call allocates *)
+  grow_los : npages:int -> bool;
 }
 
 let total_pages t =
@@ -31,13 +33,25 @@ let collect t =
 
 let budget_pages t = Gc_common.Gc_config.heap_pages t.config
 
+let grow_ms t () = total_pages t + 1 <= budget_pages t
+
+let grow_los t ~npages = total_pages t + npages <= budget_pages t
+
 let alloc_addr t ~size =
   if size > max_cell then
-    Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:(fun ~npages ->
-        total_pages t + npages <= budget_pages t)
-  else
-    Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(fun () ->
-        total_pages t + 1 <= budget_pages t)
+    Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.grow_los
+  else Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:t.grow_ms
+
+(* Only reached once the first attempt has failed. *)
+let alloc_addr_slow t ~size =
+  collect t;
+  let addr = alloc_addr t ~size in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap" name
+            size t.config.Gc_common.Gc_config.heap_bytes));
+  addr
 
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
@@ -46,19 +60,8 @@ let alloc t ~size ~nrefs ~kind =
     (Heapsim.Heap.clock t.heap)
     (Heapsim.Heap.costs t.heap).Vmsim.Costs.freelist_alloc_extra_ns;
   Gc_stats.record_alloc t.stats ~bytes:size;
-  let addr =
-    match alloc_addr t ~size with
-    | Some addr -> addr
-    | None -> (
-        collect t;
-        match alloc_addr t ~size with
-        | Some addr -> addr
-        | None ->
-            raise
-              (Collector.Heap_exhausted
-                 (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap"
-                    name size t.config.Gc_common.Gc_config.heap_bytes)))
-  in
+  let addr = alloc_addr t ~size in
+  let addr = if addr >= 0 then addr else alloc_addr_slow t ~size in
   let objects = Heapsim.Heap.objects t.heap in
   let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
   Heapsim.Heap.place t.heap id ~addr;
@@ -78,13 +81,15 @@ let check_invariants t =
       assert (Heapsim.Object_table.addr objects id >= 0))
 
 let factory config heap =
-  let t =
+  let rec t =
     {
       heap;
       config;
       ms = Gc_common.Ms_space.create heap ~name:"ms" ~max_cell;
       los = Gc_common.Large_object_space.create heap ~name:"los";
       stats = Gc_stats.create ();
+      grow_ms = (fun () -> grow_ms t ());
+      grow_los = (fun ~npages -> grow_los t ~npages);
     }
   in
   {

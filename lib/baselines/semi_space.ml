@@ -18,6 +18,7 @@ type t = {
   mutable ss_objects : Heapsim.Obj_id.t Vec.t;
   los : Gc_common.Large_object_space.t;
   mutable epoch : int;
+  grow_los : npages:int -> bool;  (* built once: a closure per call allocates *)
 }
 
 let half_bytes t = t.config.Gc_common.Gc_config.heap_bytes / 2
@@ -44,18 +45,17 @@ let collect t =
             Heapsim.Object_table.set_scratch objects id t.epoch;
             if Heapsim.Object_table.space objects id = Space_tag.nursery then begin
               let size = Heapsim.Object_table.size objects id in
-              match
+              let addr =
                 Gc_common.Bump_space.alloc to_space ~bytes:size
                   ~limit_bytes:(half_bytes t)
-              with
-              | None ->
-                  raise
-                    (Collector.Heap_exhausted
-                       (name ^ ": survivors overflow the copy reserve"))
-              | Some addr ->
-                  Trace_util.copy_object t.heap id ~new_addr:addr;
-                  Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                      enqueue target)
+              in
+              if addr < 0 then
+                raise
+                  (Collector.Heap_exhausted
+                     (name ^ ": survivors overflow the copy reserve"));
+              Trace_util.copy_object t.heap id ~new_addr:addr;
+              Heapsim.Object_table.iter_refs objects id (fun _ target ->
+                  enqueue target)
             end
             else begin
               (* large object: mark for the LOS sweep *)
@@ -79,56 +79,55 @@ let collect t =
       Gc_common.Large_object_space.sweep t.los;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
+let grow_los t ~npages =
+  total_pages t + npages <= Gc_common.Gc_config.heap_pages t.config
+
+let los_alloc t size =
+  Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.grow_los
+
+let space_alloc t size =
+  Gc_common.Bump_space.alloc t.spaces.(t.to_idx) ~bytes:size
+    ~limit_bytes:(half_bytes t)
+
+(* The slow paths run only once the first attempt has failed. *)
+let los_alloc_slow t size =
+  collect t;
+  let addr = los_alloc t size in
+  if addr < 0 then raise (Collector.Heap_exhausted (name ^ ": large object"));
+  addr
+
+let space_alloc_slow t size =
+  collect t;
+  let addr = space_alloc t size in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (Printf.sprintf "%s: cannot allocate %d bytes" name size));
+  addr
+
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
   Gc_stats.record_alloc t.stats ~bytes:size;
   let objects = Heapsim.Heap.objects t.heap in
   if size > los_threshold then begin
-    let grow ~npages =
-      total_pages t + npages
-      <= Gc_common.Gc_config.heap_pages t.config
-    in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = los_alloc t size in
+    let addr = if addr >= 0 then addr else los_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.los;
+    Gc_common.Large_object_space.note_object t.los id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
   else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.spaces.(t.to_idx) ~bytes:size
-        ~limit_bytes:(half_bytes t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          try_alloc ()
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.ss_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = space_alloc t size in
+    let addr = if addr >= 0 then addr else space_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.nursery;
+    Vec.push t.ss_objects id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
 
 let check_invariants t =
@@ -144,7 +143,7 @@ let check_invariants t =
 
 let factory config heap =
   let half_pages = max 1 (Gc_common.Gc_config.heap_pages config / 2) in
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -158,6 +157,7 @@ let factory config heap =
       ss_objects = Vec.create ();
       los = Gc_common.Large_object_space.create heap ~name:"los";
       epoch = 0;
+      grow_los = (fun ~npages -> grow_los t ~npages);
     }
   in
   {

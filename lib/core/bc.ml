@@ -88,6 +88,11 @@ type t = {
       (* lost notices detected and replayed against kernel truth *)
   mutable handler_faults : int;
       (* exceptions swallowed inside paging-signal handlers *)
+  sp_grow : unit -> bool;
+      (* [grow_sp], [resident_ok] and the LOS growth check, built once:
+         a closure per allocation would allocate *)
+  sp_resident : int -> bool;
+  los_grow : npages:int -> bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -102,11 +107,14 @@ let obj_resident t id =
       if not (resident_ok t page) then ok := false);
   !ok
 
-(* Track the pages of a freshly placed object in the residency map. *)
+(* Track the pages of a freshly placed object in the residency map. A
+   plain loop: [Heap.iter_pages] would take a fresh closure per object. *)
 let note_placed t id =
-  Heapsim.Heap.iter_pages t.heap id (fun page ->
-      Bitset.clear t.discarded page;
-      Residency.mark_resident t.residency page)
+  let last = Heapsim.Heap.last_page t.heap id in
+  for page = Heapsim.Heap.first_page t.heap id to last do
+    Bitset.clear t.discarded page;
+    Residency.mark_resident t.residency page
+  done
 
 let track_new_superpage t (sp : Superpage.sp) =
   if not (Bitset.mem t.sp_seen sp.Superpage.index) then begin
@@ -649,19 +657,18 @@ let sp_copy_young t id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
   let kind = sp_kind_of (Heapsim.Object_table.kind objects id) in
-  match
-    Superpage.alloc t.sp_space ~bytes:size ~kind ~grow:(grow_sp t)
-      ~resident:(resident_ok t)
-  with
-  | None ->
-      raise
-        (Collector.Heap_exhausted
-           (name ^ ": mature space cannot absorb nursery survivors"))
-  | Some (addr, sp) ->
-      track_new_superpage t sp;
-      Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature;
-      note_placed t id
+  (* a brand-new superpage was already tracked by [on_acquire] *)
+  let addr =
+    Superpage.alloc t.sp_space ~bytes:size ~kind ~grow:t.sp_grow
+      ~resident:t.sp_resident
+  in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (name ^ ": mature space cannot absorb nursery survivors"));
+  Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature;
+  note_placed t id
 
 (* Seeds for a nursery collection: the filtered write buffer, the card
    table (skipping — and re-marking — cards on evicted pages; their
@@ -969,17 +976,16 @@ let compact t =
       (* forward marked objects off the non-target superpages *)
       let pool_alloc key =
         match Hashtbl.find_opt target_pools key with
-        | None -> None
+        | None -> -1
         | Some pool ->
             let rec go i =
-              if i >= Vec.length pool then None
+              if i >= Vec.length pool then -1
               else
-                match
+                let addr =
                   Superpage.alloc_on t.sp_space (Vec.get pool i)
-                    ~resident:(resident_ok t)
-                with
-                | Some addr -> Some addr
-                | None -> go (i + 1)
+                    ~resident:t.sp_resident
+                in
+                if addr >= 0 then addr else go (i + 1)
             in
             go 0
       in
@@ -992,30 +998,23 @@ let compact t =
                   && not (Heapsim.Object_table.bookmarked objects id)
                 then begin
                   let key = idx_of sp in
+                  let addr = pool_alloc key in
                   let addr =
-                    match pool_alloc key with
-                    | Some addr -> Some addr
-                    | None -> (
-                        (* selection shortfall: fall back to a fresh cell *)
-                        match
-                          Superpage.alloc t.sp_space
-                            ~bytes:(Heapsim.Object_table.size objects id)
-                            ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
-                            ~grow:(grow_sp t) ~resident:(resident_ok t)
-                        with
-                        | Some (addr, nsp) ->
-                            track_new_superpage t nsp;
-                            Some addr
-                        | None -> None)
+                    if addr >= 0 then addr
+                    else
+                      (* selection shortfall: fall back to a fresh cell
+                         (a new superpage is tracked by [on_acquire]) *)
+                      Superpage.alloc t.sp_space
+                        ~bytes:(Heapsim.Object_table.size objects id)
+                        ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
+                        ~grow:t.sp_grow ~resident:t.sp_resident
                   in
-                  match addr with
-                  | None ->
-                      raise
-                        (Collector.Heap_exhausted
-                           (name ^ ": compaction ran out of target space"))
-                  | Some addr ->
-                      Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
-                      note_placed t id
+                  if addr < 0 then
+                    raise
+                      (Collector.Heap_exhausted
+                         (name ^ ": compaction ran out of target space"));
+                  Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
+                  note_placed t id
                 end));
       recycle_and_offer t;
       evacuate_nursery t;
@@ -1285,65 +1284,65 @@ let escalations t =
         failsafe t);
   ]
 
-let rec run_escalations t try_alloc = function
-  | [] -> None
-  | stage :: rest -> (
+(* The ladder is built, and climbed, only after the first attempt has
+   failed; [try_alloc] returns an address or -1. *)
+let rec run_escalations try_alloc = function
+  | [] -> -1
+  | stage :: rest ->
       (match stage () with
       | () -> ()
       | exception Collector.Heap_exhausted _ -> ());
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc rest)
+      let addr = try_alloc () in
+      if addr >= 0 then addr else run_escalations try_alloc rest
+
+let los_alloc t size =
+  Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:t.los_grow
+
+let nursery_alloc t size =
+  Gc_common.Bump_space.alloc t.nursery ~bytes:size
+    ~limit_bytes:(nursery_limit t)
+
+let los_alloc_slow t size =
+  let addr =
+    run_escalations (fun () -> los_alloc t size) (List.tl (escalations t))
+  in
+  if addr < 0 then raise (Collector.Heap_exhausted (name ^ ": large object"));
+  addr
+
+let nursery_alloc_slow t size =
+  let addr = run_escalations (fun () -> nursery_alloc t size) (escalations t) in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap" name
+            size t.config.Gc_config.heap_bytes));
+  addr
 
 let alloc t ~size ~nrefs ~kind =
   Collector.charge_alloc t.heap ~bytes:size;
   Gc_stats.record_alloc t.stats ~bytes:size;
   let objects = Heapsim.Heap.objects t.heap in
   if size > los_threshold then begin
-    let grow ~npages = mature_pages t + npages <= effective_heap_pages t in
-    let try_alloc () =
-      Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc (List.tl (escalations t))
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        note_placed t id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = los_alloc t size in
+    let addr = if addr >= 0 then addr else los_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.los;
+    Gc_common.Large_object_space.note_object t.los id;
+    note_placed t id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
   else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc (escalations t)
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap"
-                name size t.config.Gc_config.heap_bytes))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        note_placed t id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
+    let addr = nursery_alloc t size in
+    let addr = if addr >= 0 then addr else nursery_alloc_slow t size in
+    let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
+    Heapsim.Heap.place t.heap id ~addr;
+    Heapsim.Object_table.set_space objects id Space_tag.nursery;
+    Vec.push t.nursery_objects id;
+    note_placed t id;
+    Heapsim.Heap.touch_object t.heap ~write:true id;
+    id
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1512,7 +1511,7 @@ let factory config heap =
         && Heapsim.Object_table.space objects id <> Space_tag.nursery)
       ()
   in
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -1550,6 +1549,10 @@ let factory config heap =
       spurious_resident = 0;
       reconciled = 0;
       handler_faults = 0;
+      sp_grow = (fun () -> grow_sp t ());
+      sp_resident = (fun page -> resident_ok t page);
+      los_grow =
+        (fun ~npages -> mature_pages t + npages <= effective_heap_pages t);
     }
   in
   Superpage.set_on_acquire t.sp_space (fun sp -> track_new_superpage t sp);

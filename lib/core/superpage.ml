@@ -91,11 +91,27 @@ let assign_class t sp cls kind =
   done;
   t.free_cell_bytes <- t.free_cell_bytes + (ncells * cell)
 
+(* "No superpage": the allocation path returns this sentinel, compared
+   with [==], instead of an [option] (which would allocate per call). *)
+let no_sp =
+  {
+    index = -1;
+    first_page = -1;
+    cls = -1;
+    kind = Scalar;
+    cells_total = 0;
+    free = Vec.create ();
+    blocked = Vec.create ();
+    on_partial = false;
+    incoming = 0;
+    evicted_data_pages = 0;
+  }
+
 let acquire t cls kind ~grow =
   if not (Vec.is_empty t.empty_pool) then begin
     let sp = Vec.pop t.empty_pool in
     assign_class t sp cls kind;
-    Some sp
+    sp
   end
   else if grow () then begin
     let first_page =
@@ -125,13 +141,13 @@ let acquire t cls kind ~grow =
     Hashtbl.add t.by_quad (quad first_page) sp;
     assign_class t sp cls kind;
     t.on_acquire sp;
-    Some sp
+    sp
   end
-  else None
+  else no_sp
 
 let rec pop_partial t idx cls =
   let v = t.partial.(idx) in
-  if Vec.is_empty v then None
+  if Vec.is_empty v then no_sp
   else begin
     let sp = Vec.top v in
     if sp.cls <> cls || partial_idx sp.cls sp.kind <> idx || Vec.is_empty sp.free
@@ -140,61 +156,58 @@ let rec pop_partial t idx cls =
       sp.on_partial <- false;
       pop_partial t idx cls
     end
-    else Some sp
+    else sp
   end
 
-(* Pop a free cell whose pages are all usable; park others on [blocked]. *)
-let pop_usable_cell t sp ~resident =
-  let cell = cell_size sp in
-  let cell_ok addr =
-    let rec ok page =
-      page > Vmsim.Page.of_addr (addr + cell - 1) || (resident page && ok (page + 1))
-    in
-    ok (Vmsim.Page.of_addr addr)
-  in
-  let rec loop () =
-    if Vec.is_empty sp.free then None
+let rec pages_usable ~resident page last =
+  page > last || (resident page && pages_usable ~resident (page + 1) last)
+
+(* Pop a free cell whose pages are all usable (or -1); park others on
+   [blocked]. *)
+let rec pop_usable_cell t sp ~resident =
+  if Vec.is_empty sp.free then -1
+  else begin
+    let cell = cell_size sp in
+    let addr = Vec.pop sp.free in
+    t.free_cell_bytes <- t.free_cell_bytes - cell;
+    if
+      pages_usable ~resident (Vmsim.Page.of_addr addr)
+        (Vmsim.Page.of_addr (addr + cell - 1))
+    then addr
     else begin
-      let addr = Vec.pop sp.free in
-      if cell_ok addr then begin
-        t.free_cell_bytes <- t.free_cell_bytes - cell;
-        Some addr
-      end
-      else begin
-        Vec.push sp.blocked addr;
-        t.free_cell_bytes <- t.free_cell_bytes - cell;
-        loop ()
-      end
+      Vec.push sp.blocked addr;
+      pop_usable_cell t sp ~resident
     end
-  in
-  loop ()
+  end
+
+let rec alloc_in t idx cls kind ~grow ~resident =
+  let sp = pop_partial t idx cls in
+  if sp == no_sp then begin
+    let sp = acquire t cls kind ~grow in
+    if sp == no_sp then -1
+    else begin
+      sp.on_partial <- true;
+      Vec.push t.partial.(idx) sp;
+      alloc_in t idx cls kind ~grow ~resident
+    end
+  end
+  else begin
+    let addr = pop_usable_cell t sp ~resident in
+    if addr >= 0 then addr
+    else begin
+      (* every remaining free cell was blocked *)
+      ignore (Vec.pop t.partial.(idx));
+      sp.on_partial <- false;
+      alloc_in t idx cls kind ~grow ~resident
+    end
+  end
 
 let alloc t ~bytes ~kind ~grow ~resident =
-  match Gc_common.Size_class.class_of_size bytes with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Superpage.alloc: %d bytes belongs in the LOS" bytes)
-  | Some cls ->
-      let idx = partial_idx cls kind in
-      let rec from_partial () =
-        match pop_partial t idx cls with
-        | None -> (
-            match acquire t cls kind ~grow with
-            | None -> None
-            | Some sp ->
-                sp.on_partial <- true;
-                Vec.push t.partial.(idx) sp;
-                from_partial ())
-        | Some sp -> (
-            match pop_usable_cell t sp ~resident with
-            | Some addr -> Some (addr, sp)
-            | None ->
-                (* every remaining free cell was blocked *)
-                ignore (Vec.pop t.partial.(idx));
-                sp.on_partial <- false;
-                from_partial ())
-      in
-      from_partial ()
+  let cls = Gc_common.Size_class.class_of_size bytes in
+  if cls < 0 then
+    invalid_arg
+      (Printf.sprintf "Superpage.alloc: %d bytes belongs in the LOS" bytes);
+  alloc_in t (partial_idx cls kind) cls kind ~grow ~resident
 
 let alloc_on t sp ~resident = pop_usable_cell t sp ~resident
 

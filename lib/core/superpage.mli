@@ -51,17 +51,19 @@ val alloc :
   kind:kind ->
   grow:(unit -> bool) ->
   resident:(int -> bool) ->
-  (int * sp) option
-(** Allocate a cell. Cells overlapping non-resident pages are skipped
-    (parked on [blocked]); acquiring a fresh superpage consults [grow].
-    Returns the cell address and its superpage. On success the caller owns
-    marking the cell's pages resident. *)
+  int
+(** Allocate a cell and return its address, or [-1] on failure. Cells
+    overlapping non-resident pages are skipped (parked on [blocked]);
+    acquiring a fresh superpage consults [grow] and then fires
+    [on_acquire]. On success the caller owns marking the cell's pages
+    resident; {!sp_of_addr} finds the cell's superpage. *)
 
 val free_cell : t -> sp -> addr:int -> unit
 (** Return a cell to its superpage's free list. *)
 
-val alloc_on : t -> sp -> resident:(int -> bool) -> int option
-(** Pop a usable cell from a specific superpage (compaction targets). *)
+val alloc_on : t -> sp -> resident:(int -> bool) -> int
+(** Pop a usable cell from a specific superpage (compaction targets), or
+    [-1] when it has none. *)
 
 val sp_of_page : t -> int -> sp option
 

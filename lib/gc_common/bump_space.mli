@@ -9,10 +9,10 @@ type t
 val create : Heapsim.Heap.t -> name:string -> npages:int -> t
 (** Reserve and map [npages] pages. *)
 
-val alloc : t -> bytes:int -> limit_bytes:int -> int option
-(** Bump-allocate [bytes]; [None] if the allocation would push usage past
-    [limit_bytes] (the caller's current policy limit) or past the space's
-    capacity. Returns the allocated address. *)
+val alloc : t -> bytes:int -> limit_bytes:int -> int
+(** Bump-allocate [bytes] and return the allocated address, or [-1] if
+    the allocation would push usage past [limit_bytes] (the caller's
+    current policy limit) or past the space's capacity. *)
 
 val used_bytes : t -> int
 

@@ -19,7 +19,7 @@ let create heap ~name =
 
 let alloc t ~bytes ~grow =
   let npages = Vmsim.Page.count_for_bytes bytes in
-  if not (grow ~npages) then None
+  if not (grow ~npages) then -1
   else begin
     let first_page =
       Heapsim.Address_space.reserve (Heapsim.Heap.address_space t.heap) ~npages
@@ -28,7 +28,7 @@ let alloc t ~bytes ~grow =
       (Heapsim.Heap.process t.heap) ~first_page ~npages;
     Hashtbl.add t.page_ranges first_page npages;
     t.pages <- t.pages + npages;
-    Some (Vmsim.Page.addr_of first_page)
+    Vmsim.Page.addr_of first_page
   end
 
 let note_object t id = Vec.push t.objects id

@@ -9,9 +9,9 @@ type t
 
 val create : Heapsim.Heap.t -> name:string -> t
 
-val alloc : t -> bytes:int -> grow:(npages:int -> bool) -> int option
-(** Allocate a fresh page range; [grow] is consulted with the number of
-    pages needed. *)
+val alloc : t -> bytes:int -> grow:(npages:int -> bool) -> int
+(** Allocate a fresh page range and return its address, or [-1] when
+    [grow], consulted with the number of pages needed, refuses. *)
 
 val note_object : t -> Heapsim.Obj_id.t -> unit
 (** Register the (placed) object so sweeps can find it. *)

@@ -55,13 +55,18 @@ let assign_class pr cls =
     Vec.push pr.free (base + (i * cell))
   done
 
+(* "No page": the allocation path returns this sentinel, compared with
+   [==], instead of an [option] (which would allocate on every call). *)
+let no_page =
+  { page = -1; cls = -1; cells_total = 0; free = Vec.create (); on_partial = false }
+
 let acquire_page t cls ~grow =
   if not (Vec.is_empty t.empty_pool) then begin
     let pr = Vec.pop t.empty_pool in
     t.free_bytes <- t.free_bytes - Vmsim.Page.size;
     assign_class pr cls;
     t.free_bytes <- t.free_bytes + (pr.cells_total * Size_class.cell_size cls);
-    Some pr
+    pr
   end
   else if grow () then begin
     let first_page =
@@ -83,14 +88,15 @@ let acquire_page t cls ~grow =
     Vec.push t.pages first_page;
     assign_class pr cls;
     t.free_bytes <- t.free_bytes + (pr.cells_total * Size_class.cell_size cls);
-    Some pr
+    pr
   end
-  else None
+  else no_page
 
-(* Pop a page with a free cell for [cls], dropping stale entries. *)
+(* Pop a page with a free cell for [cls] (or [no_page]), dropping stale
+   entries. *)
 let rec pop_partial t cls =
   let v = t.partial.(cls) in
-  if Vec.is_empty v then None
+  if Vec.is_empty v then no_page
   else begin
     let pr = Vec.top v in
     if pr.cls <> cls || Vec.is_empty pr.free then begin
@@ -98,7 +104,19 @@ let rec pop_partial t cls =
       pr.on_partial <- false;
       pop_partial t cls
     end
-    else Some pr
+    else pr
+  end
+
+let page_for t cls ~grow =
+  let pr = pop_partial t cls in
+  if pr != no_page then pr
+  else begin
+    let pr = acquire_page t cls ~grow in
+    if pr != no_page then begin
+      pr.on_partial <- true;
+      Vec.push t.partial.(cls) pr
+    end;
+    pr
   end
 
 let alloc t ~bytes ~grow =
@@ -106,32 +124,21 @@ let alloc t ~bytes ~grow =
     invalid_arg
       (Printf.sprintf "Ms_space.alloc(%s): %d bytes exceeds max cell %d"
          t.name bytes t.max_cell);
-  match Size_class.class_of_size bytes with
-  | None -> assert false
-  | Some cls -> (
-      let page_opt =
-        match pop_partial t cls with
-        | Some pr -> Some pr
-        | None -> (
-            match acquire_page t cls ~grow with
-            | Some pr ->
-                pr.on_partial <- true;
-                Vec.push t.partial.(cls) pr;
-                Some pr
-            | None -> None)
-      in
-      match page_opt with
-      | None -> None
-      | Some pr ->
-          let addr = Vec.pop pr.free in
-          t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
-          if Vec.is_empty pr.free then begin
-            (* drop from the partial list lazily via the flag *)
-            pr.on_partial <- false;
-            let v = t.partial.(cls) in
-            if not (Vec.is_empty v) && Vec.top v == pr then ignore (Vec.pop v)
-          end;
-          Some addr)
+  let cls = Size_class.class_of_size bytes in
+  assert (cls >= 0);
+  let pr = page_for t cls ~grow in
+  if pr == no_page then -1
+  else begin
+    let addr = Vec.pop pr.free in
+    t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
+    if Vec.is_empty pr.free then begin
+      (* drop from the partial list lazily via the flag *)
+      pr.on_partial <- false;
+      let v = t.partial.(cls) in
+      if not (Vec.is_empty v) && Vec.top v == pr then ignore (Vec.pop v)
+    end;
+    addr
+  end
 
 let sweep t =
   let heap = t.heap in

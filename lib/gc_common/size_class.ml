@@ -47,7 +47,7 @@ let class_of_size size =
   if size <= 0 then invalid_arg "Size_class.class_of_size"
   else
     let rounded = round_word size in
-    if rounded > max_cell then None else Some lookup.(rounded / word)
+    if rounded > max_cell then -1 else lookup.(rounded / word)
 
 let cell_size c = cell_sizes.(c)
 

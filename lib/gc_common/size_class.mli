@@ -25,9 +25,10 @@ val count : int
 val small_count : int
 (** Number of one-size-per-class small classes (sizes 8..64). *)
 
-val class_of_size : int -> int option
-(** Index of the smallest class whose cell fits [size]; [None] above
-    {!max_cell}. O(1). *)
+val class_of_size : int -> int
+(** Index of the smallest class whose cell fits [size]; [-1] above
+    {!max_cell} (such objects belong in a large object space). O(1).
+    Raises [Invalid_argument] when [size] is not positive. *)
 
 val cell_size : int -> int
 (** Cell size of a class index. *)

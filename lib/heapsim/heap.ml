@@ -9,19 +9,39 @@ type t = {
   address_space : Address_space.t;
   mutable barrier : write_barrier;
   mutable roots : (Obj_id.t -> unit) -> unit;
+  fix_moved : int -> Obj_id.t -> int -> unit;
+      (* [Page_map.remove]'s [moved], built once: a closure per freed
+         object would allocate *)
 }
 
 let no_barrier ~src:_ ~field:_ ~old_target:_ ~target:_ = ()
 
+(* Page arithmetic is hand-inlined: dev-profile builds pass -opaque, so
+   [Vmsim.Page.of_addr] is a real call (with a division by a loaded
+   value) on every object access. Addresses are non-negative, so the
+   division is a shift. Verified at module init. *)
+let () = assert (Vmsim.Page.size = 4096)
+
+let[@inline] page_of_addr addr = addr lsr 12
+
+(* A bucket removal swap-fills the hole from the tail: if the relocated
+   entry belongs to an object whose first page this is, its stored slot
+   must follow. *)
+let fix_moved objects page moved_id slot =
+  if page_of_addr (Object_table.addr objects moved_id) = page then
+    Object_table.set_page_slot objects moved_id slot
+
 let create_with vmm proc ~address_space =
+  let objects = Object_table.create () in
   {
     vmm;
     proc;
-    objects = Object_table.create ();
+    objects;
     page_map = Page_map.create ();
     address_space;
     barrier = no_barrier;
     roots = (fun _ -> ());
+    fix_moved = fix_moved objects;
   }
 
 let create vmm proc = create_with vmm proc ~address_space:(Address_space.create ())
@@ -39,14 +59,6 @@ let address_space t = t.address_space
 let clock t = Vmsim.Vmm.clock t.vmm
 
 let costs t = Vmsim.Vmm.costs t.vmm
-
-(* Page arithmetic is hand-inlined: dev-profile builds pass -opaque, so
-   [Vmsim.Page.of_addr] is a real call (with a division by a loaded
-   value) on every object access. Addresses are non-negative, so the
-   division is a shift. Verified at module init. *)
-let () = assert (Vmsim.Page.size = 4096)
-
-let[@inline] page_of_addr addr = addr lsr 12
 
 let first_page t id = page_of_addr (Object_table.addr t.objects id)
 
@@ -72,21 +84,14 @@ let place t id ~addr =
     ignore (Page_map.add t.page_map ~page id : int)
   done
 
-(* A bucket removal swap-fills the hole from the tail: if the relocated
-   entry belongs to an object whose first page this is, its stored slot
-   must follow. *)
-let fix_moved t page moved_id slot =
-  if page_of_addr (Object_table.addr t.objects moved_id) = page then
-    Object_table.set_page_slot t.objects moved_id slot
-
 let displace t id =
   if Object_table.addr t.objects id >= 0 then begin
     let fp = first_page t id and lp = last_page t id in
     Page_map.remove t.page_map ~page:fp
       ~slot:(Object_table.page_slot t.objects id)
-      ~moved:(fix_moved t fp) id;
+      ~moved:t.fix_moved id;
     for page = fp + 1 to lp do
-      Page_map.remove t.page_map ~page ~moved:(fix_moved t page) id
+      Page_map.remove t.page_map ~page ~slot:(-1) ~moved:t.fix_moved id
     done;
     Object_table.set_addr t.objects id (-1);
     Object_table.set_page_slot t.objects id (-1)
@@ -98,18 +103,28 @@ let free_object t id =
 
 (* Object accesses are the next-hottest path after Vmm.touch. Almost
    every object fits on one page, so skip the [iter_pages] closure and
-   touch the page directly; multi-page objects take the loop. *)
-let touch_object t ?(write = false) id =
+   touch the page directly; multi-page objects take the loop. [write] is
+   a plain [bool] and each branch passes a constant label: forwarding it
+   as [~write] would build a fresh [Some] on every access. *)
+let touch t write id =
   let objs = t.objects in
   let addr = Object_table.addr objs id in
   assert (addr >= 0);
   let fp = page_of_addr addr in
   let lp = page_of_addr (addr + Object_table.size objs id - 1) in
-  if fp = lp then Vmsim.Vmm.touch t.vmm ~write fp
-  else
+  if fp = lp then begin
+    if write then Vmsim.Vmm.touch t.vmm ~write:true fp
+    else Vmsim.Vmm.touch t.vmm fp
+  end
+  else begin
     (* multi-page object: a batched span — resident runs cost one clock
        skip instead of per-page steps, bit-identical to the loop *)
-    Vmsim.Vmm.touch_span t.vmm ~write ~first_page:fp (lp - fp + 1)
+    let n = lp - fp + 1 in
+    if write then Vmsim.Vmm.touch_span t.vmm ~write:true ~first_page:fp n
+    else Vmsim.Vmm.touch_span t.vmm ~first_page:fp n
+  end
+
+let touch_object t ?(write = false) id = touch t write id
 
 let set_write_barrier t barrier = t.barrier <- barrier
 
@@ -121,16 +136,16 @@ let charge_access t = Vmsim.Clock.advance (clock t) (costs t).Vmsim.Costs.access
 
 let read_ref t id field =
   charge_access t;
-  touch_object t ~write:false id;
+  touch t false id;
   Object_table.get_ref t.objects id field
 
 let write_ref t id field target =
   charge_access t;
-  touch_object t ~write:true id;
+  touch t true id;
   let old_target = Object_table.get_ref t.objects id field in
   t.barrier ~src:id ~field ~old_target ~target;
   Object_table.set_ref t.objects id field target
 
-let access t ?(write = false) id =
+let access t id =
   charge_access t;
-  touch_object t ~write id
+  touch t false id

@@ -75,5 +75,6 @@ val write_ref : t -> Obj_id.t -> int -> Obj_id.t -> unit
 (** Mutator field write: charges access cost, touches the object's pages
     for writing, fires the collector's write barrier, then stores. *)
 
-val access : t -> ?write:bool -> Obj_id.t -> unit
-(** Mutator access to an object's non-reference payload. *)
+val access : t -> Obj_id.t -> unit
+(** Mutator read of an object's non-reference payload: charges access
+    cost and touches the object's pages. *)

@@ -1,10 +1,18 @@
 (** Structure-of-arrays storage for simulated heap objects.
 
-    Each live object has a size in bytes, a simulated byte address, an
-    array of reference fields, a header with status bits (mark and
-    bookmark, as in the paper's one-word Jikes header), a collector-defined
-    space tag and a collector-defined scratch word. Ids of freed objects
-    are recycled. *)
+    Each live object has a size in bytes, a simulated byte address,
+    reference fields, a header with status bits (mark and bookmark, as in
+    the paper's one-word Jikes header), a collector-defined space tag and
+    a collector-defined scratch word. Ids of freed objects are recycled.
+
+    Reference fields are stored in runs of a block-structured arena
+    shared by all objects (a run offset per object, the field count in
+    the run's header slot), not in a host block per object; freed runs
+    are reused by later objects with the same number of fields.
+
+    Each per-object column is a directory of fixed-size chunks, so
+    growing the table adds chunks and never copies a column: no garbage
+    as large as the table is left for the host collector. *)
 
 type t
 
@@ -32,8 +40,11 @@ val set_addr : t -> Obj_id.t -> int -> unit
 val nrefs : t -> Obj_id.t -> int
 
 val get_ref : t -> Obj_id.t -> int -> Obj_id.t
+(** [get_ref t o field]; fields of a fresh object are {!Obj_id.null}.
+    Raises [Invalid_argument] unless [0 <= field < nrefs t o]. *)
 
 val set_ref : t -> Obj_id.t -> int -> Obj_id.t -> unit
+(** Raises [Invalid_argument] unless [0 <= field < nrefs t o]. *)
 
 val iter_refs : t -> Obj_id.t -> (int -> Obj_id.t -> unit) -> unit
 (** [iter_refs t o f] calls [f field target] for each non-null field. *)

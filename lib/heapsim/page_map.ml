@@ -54,25 +54,25 @@ let missing page id =
 
 (* Swap-remove bucket slot [i]; when that relocates the former last
    element, tell the caller so any stored back-index can be fixed up. *)
-let remove_slot v ~moved i =
+let remove_slot v ~page ~moved i =
   ignore (Vec.swap_remove v i : int);
-  if i < Vec.length v then moved (Vec.get v i) i
+  if i < Vec.length v then moved page (Vec.get v i) i
 
-let remove t ~page ?slot ?(moved = fun _ _ -> ()) id =
+let rec find v ~page id i =
+  if i >= Vec.length v then missing page id
+  else if Vec.get v i = id then i
+  else find v ~page id (i + 1)
+
+let remove t ~page ~slot ~moved id =
   let v = bucket t page in
-  match slot with
-  | Some s when s >= 0 && s < Vec.length v && Vec.get v s = id ->
-      remove_slot v ~moved s
-  | Some _ | None ->
+  let slot =
+    if slot >= 0 && slot < Vec.length v && Vec.get v slot = id then slot
+    else
       (* no (valid) slot hint: linear scan, as for the non-first pages of
          a multi-page object *)
-      let n = Vec.length v in
-      let rec find i =
-        if i >= n then missing page id
-        else if Vec.get v i = id then remove_slot v ~moved i
-        else find (i + 1)
-      in
-      find 0
+      find v ~page id 0
+  in
+  remove_slot v ~page ~moved slot
 
 let objects_on t page =
   if page < 0 then [||]

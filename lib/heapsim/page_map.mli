@@ -14,14 +14,17 @@ val add : t -> page:int -> Obj_id.t -> int
     stays valid until a later [remove] on the same page relocates it
     (reported through that call's [moved]). *)
 
-val remove : t -> page:int -> ?slot:int -> ?moved:(Obj_id.t -> int -> unit)
-  -> Obj_id.t -> unit
+val remove :
+  t -> page:int -> slot:int -> moved:(int -> Obj_id.t -> int -> unit) ->
+  Obj_id.t -> unit
 (** Remove one occurrence; the object must be registered on the page.
     With a valid [slot] hint (from {!add}, kept current via [moved]) the
-    removal is O(1); otherwise it scans the bucket. Removal swap-fills
-    the vacated slot from the bucket's tail: when that relocates another
-    object's entry, [moved] is called with that object and its new slot
-    so the caller can fix any stored back-index. *)
+    removal is O(1); otherwise (say [-1]) it scans the bucket. Removal
+    swap-fills the vacated slot from the bucket's tail: when that
+    relocates another object's entry, [moved page id slot] is called with
+    the page, that object and its new slot so the caller can fix any
+    stored back-index. Both arguments are plain values, so a caller that
+    builds [moved] once frees objects without allocating. *)
 
 val objects_on : t -> int -> Obj_id.t array
 (** Snapshot of the objects registered on a page (safe to mutate the map

@@ -18,6 +18,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is a Bernoulli([p]) draw, defined bit-for-bit as
+    [float t 1.0 < p]: it consumes one draw and returns what that
+    comparison would. Unlike {!float} it returns an immediate, so it
+    allocates nothing. *)
+
 val bool : t -> bool
 
 val geometric : t -> float -> int

@@ -779,8 +779,12 @@ let touch_miss t ~write page =
    Negative pages cannot false-hit the cache: [page lsr chunk_shift] on a
    negative argument yields a huge positive index far above any chunk the
    root array could hold, so the compare fails and [touch_miss] reports
-   the page unmapped, preserving the error wording. *)
-let touch t ?(write = false) page =
+   the page unmapped, preserving the error wording.
+
+   [write] is a plain [bool]: passing a variable as an optional argument
+   builds a fresh [Some] on every access, so [touch_span] calls this
+   directly and [touch] below is the optional-argument entry point. *)
+let[@inline] touch_page t write page =
   if page lsr Page_table.chunk_shift = t.fast_ci then begin
     let s = page land Page_table.chunk_mask in
     if Char.code (Bytes.unsafe_get t.fast_states s) = st_resident then begin
@@ -794,6 +798,8 @@ let touch t ?(write = false) page =
     else do_touch t ~write page
   end
   else touch_miss t ~write page
+
+let touch t ?(write = false) page = touch_page t write page
 
 (* {2 Batched spans and the event-skipping clock}
 
@@ -835,7 +841,7 @@ let touch_span t ?(write = false) ?(cost_ns = 0) ~first_page npages =
   if not (Atomic.get span_skipping) then
     for page = first_page to first_page + npages - 1 do
       if cost_ns > 0 then Clock.advance t.clock cost_ns;
-      touch t ~write page
+      touch_page t write page
     done
   else begin
     let last = first_page + npages - 1 in
@@ -845,7 +851,7 @@ let touch_span t ?(write = false) ?(cost_ns = 0) ~first_page npages =
         (* a slow page enqueued notices: take the literal per-page step so
            the flush happens exactly where the sequential loop flushes *)
         if cost_ns > 0 then Clock.advance t.clock cost_ns;
-        touch t ~write !p;
+        touch_page t write !p;
         incr p
       end
       else begin
@@ -854,7 +860,7 @@ let touch_span t ?(write = false) ?(cost_ns = 0) ~first_page npages =
         if chunk == Page_table.sentinel then begin
           (* never-mapped chunk: the per-page step raises, as touch would *)
           if cost_ns > 0 then Clock.advance t.clock cost_ns;
-          touch t ~write page;
+          touch_page t write page;
           incr p
         end
         else begin
@@ -886,7 +892,7 @@ let touch_span t ?(write = false) ?(cost_ns = 0) ~first_page npages =
           if !s <= smax then begin
             (* the run stopped on a slow page still inside the span *)
             if cost_ns > 0 then Clock.advance t.clock cost_ns;
-            touch t ~write !p;
+            touch_page t write !p;
             incr p
           end
         end

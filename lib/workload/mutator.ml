@@ -18,6 +18,10 @@ type t = {
   mutable ops : int;
   mutable finished : bool;
   trace : Trace.t option;
+  mutations : int;  (* whole part of [Spec.mutation_rate] *)
+  mutation_frac : float;  (* and its fraction, drawn per op *)
+  accesses : int;  (* likewise for [Spec.access_rate] *)
+  access_frac : float;
   birth : (Heapsim.Obj_id.t, int) Hashtbl.t;  (* id -> birth index *)
   mutable births : int;
 }
@@ -28,7 +32,7 @@ let birth_of t id = Hashtbl.find t.birth id
 
 let sample_size t =
   let s = t.spec in
-  if s.Spec.large_frac > 0.0 && Rng.float t.rng 1.0 < s.Spec.large_frac then
+  if s.Spec.large_frac > 0.0 && Rng.chance t.rng s.Spec.large_frac then
     los_threshold + 4 + Rng.int t.rng Vmsim.Page.size
   else begin
     let extra = max 1 (s.Spec.mean_size - 8) in
@@ -41,7 +45,7 @@ let sample_nrefs t =
   if mean <= 0 then 0 else min 8 (Rng.int t.rng ((2 * mean) + 1))
 
 let sample_kind t =
-  if Rng.float t.rng 1.0 < t.spec.Spec.array_frac then `Array else `Scalar
+  if Rng.chance t.rng t.spec.Spec.array_frac then `Array else `Scalar
 
 let heap t = t.collector.Collector.heap
 
@@ -90,6 +94,12 @@ let create ?trace spec collector =
       (spec.Spec.window_bytes / max 8 spec.Spec.mean_size)
   in
   let nsegments = (window_slots + slots_per_segment - 1) / slots_per_segment in
+  let split_rate r =
+    let n = int_of_float r in
+    (n, r -. float_of_int n)
+  in
+  let mutations, mutation_frac = split_rate spec.Spec.mutation_rate in
+  let accesses, access_frac = split_rate spec.Spec.access_rate in
   let t =
     {
       spec;
@@ -103,6 +113,10 @@ let create ?trace spec collector =
       ops = 0;
       finished = false;
       trace;
+      mutations;
+      mutation_frac;
+      accesses;
+      access_frac;
       birth = Hashtbl.create 1024;
       births = 0;
     }
@@ -145,9 +159,9 @@ let one_op t =
   let id = alloc t ~size ~nrefs ~kind:(sample_kind t) in
   (* wire some fields to live data *)
   for field = 0 to nrefs - 1 do
-    if Rng.float t.rng 1.0 < 0.5 then begin
+    if Rng.chance t.rng 0.5 then begin
       let target =
-        if Rng.float t.rng 1.0 < 0.1 && not (Vec.is_empty t.immortal) then
+        if Rng.chance t.rng 0.1 && not (Vec.is_empty t.immortal) then
           Vec.get t.immortal (Rng.int t.rng (Vec.length t.immortal))
         else random_window_member t
       in
@@ -155,24 +169,23 @@ let one_op t =
     end
   done;
   (* promote a fraction of allocations into the long-lived window *)
-  if Rng.float t.rng 1.0 < s.Spec.long_frac then store_in_window t id;
-  (* extra pointer mutations between window members *)
-  let mutations = int_of_float s.Spec.mutation_rate in
-  let frac = s.Spec.mutation_rate -. float_of_int mutations in
+  if Rng.chance t.rng s.Spec.long_frac then store_in_window t id;
+  (* extra pointer mutations between window members; the fractions are
+     split off once in [create], so no float is boxed per op *)
   let mutations =
-    mutations + if Rng.float t.rng 1.0 < frac then 1 else 0
+    t.mutations + if Rng.chance t.rng t.mutation_frac then 1 else 0
   in
   for _ = 1 to mutations do
     let target = random_window_member t in
     if not (Heapsim.Obj_id.is_null target) then store_in_window t target
   done;
   (* reads over the live data, mostly hot (window), sometimes cold *)
-  let accesses = int_of_float s.Spec.access_rate in
-  let frac = s.Spec.access_rate -. float_of_int accesses in
-  let accesses = accesses + if Rng.float t.rng 1.0 < frac then 1 else 0 in
+  let accesses =
+    t.accesses + if Rng.chance t.rng t.access_frac then 1 else 0
+  in
   for _ = 1 to accesses do
     if
-      Rng.float t.rng 1.0 < s.Spec.cold_access_frac
+      Rng.chance t.rng s.Spec.cold_access_frac
       && not (Vec.is_empty t.immortal)
     then
       access t (Vec.get t.immortal (Rng.int t.rng (Vec.length t.immortal)))

@@ -104,7 +104,7 @@ let rec sample_arrival t from_ns =
     else begin
       let at_s = float_of_int (cand - t.start_ns) /. 1e9 in
       let r = Shapes.rate t.spec.shape ~at_s in
-      if Rng.float t.rng 1.0 < r /. t.peak_rate then Some cand
+      if Rng.chance t.rng (r /. t.peak_rate) then Some cand
       else sample_arrival t cand
     end
   end
@@ -156,7 +156,7 @@ let serve t arrival_ns =
     let size = 8 + Rng.int t.rng (2 * extra) in
     let id = alloc t ~size ~nrefs:2 ~kind:`Scalar in
     (* wire the working set into the cache: reads plus one ref store *)
-    if Rng.float t.rng 1.0 < 0.5 then begin
+    if Rng.chance t.rng 0.5 then begin
       let target = random_cache_member t in
       if not (Heapsim.Obj_id.is_null target) then
         Heapsim.Heap.write_ref (heap t) id 0 target
@@ -170,7 +170,7 @@ let serve t arrival_ns =
   done;
   (* session state: a slice of this request's working set outlives it *)
   if
-    Rng.float t.rng 1.0 < s.session_frac
+    Rng.chance t.rng s.session_frac
     && not (Heapsim.Obj_id.is_null !last)
   then store_in_ring t !last;
   let finish_ns = now t in

@@ -24,25 +24,21 @@ let test_ascending_and_word_aligned () =
     SC.cell_sizes.(SC.count - 1)
 
 let test_class_of_size () =
-  check (Alcotest.option Alcotest.int) "size 1 -> class 0" (Some 0)
-    (SC.class_of_size 1);
-  check (Alcotest.option Alcotest.int) "size 8 -> class 0" (Some 0)
-    (SC.class_of_size 8);
-  check (Alcotest.option Alcotest.int) "size 9 -> class 1 (12B)" (Some 1)
-    (SC.class_of_size 9);
-  check (Alcotest.option Alcotest.int) "max cell fits" (Some (SC.count - 1))
+  check Alcotest.int "size 1 -> class 0" 0 (SC.class_of_size 1);
+  check Alcotest.int "size 8 -> class 0" 0 (SC.class_of_size 8);
+  check Alcotest.int "size 9 -> class 1 (12B)" 1 (SC.class_of_size 9);
+  check Alcotest.int "max cell fits" (SC.count - 1)
     (SC.class_of_size SC.max_cell);
-  check (Alcotest.option Alcotest.int) "over max -> LOS" None
+  check Alcotest.int "over max -> LOS" (-1)
     (SC.class_of_size (SC.max_cell + 1))
 
 let test_class_of_size_minimal () =
   (* the chosen class is the smallest whose cell fits the request *)
   for size = 1 to SC.max_cell do
-    match SC.class_of_size size with
-    | None -> Alcotest.failf "size %d unmapped" size
-    | Some c ->
-        assert (SC.cell_size c >= size);
-        if c > 0 then assert (SC.cell_size (c - 1) < size)
+    let c = SC.class_of_size size in
+    if c < 0 then Alcotest.failf "size %d unmapped" size;
+    assert (SC.cell_size c >= size);
+    if c > 0 then assert (SC.cell_size (c - 1) < size)
   done
 
 let test_fragmentation_bounds () =
@@ -78,9 +74,8 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"class_of_size/cell_size roundtrip" ~count:500
     QCheck.(int_range 1 8180)
     (fun size ->
-      match SC.class_of_size size with
-      | None -> false
-      | Some c -> SC.cell_size c >= size)
+      let c = SC.class_of_size size in
+      c >= 0 && SC.cell_size c >= size)
 
 let () =
   Alcotest.run "size_class"

@@ -7,6 +7,11 @@ module Heap = Heapsim.Heap
 
 let check = Alcotest.check
 
+(* The space allocators return an address, or -1 on failure. *)
+let addr_exn addr =
+  if addr < 0 then Alcotest.fail "allocation failed";
+  addr
+
 (* ----------------------------------------------------------------- *)
 (* Bump_space                                                         *)
 
@@ -14,13 +19,10 @@ let test_bump_basic () =
   let m = Mini.machine () in
   let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 in
   check Alcotest.int "capacity" (4 * 4096) (Bump.capacity_bytes b);
-  let a1 = Bump.alloc b ~bytes:100 ~limit_bytes:max_int in
-  let a2 = Bump.alloc b ~bytes:100 ~limit_bytes:max_int in
-  (match (a1, a2) with
-  | Some x, Some y ->
-      check Alcotest.int "contiguous bump" (x + 100) y;
-      check Alcotest.bool "contains" true (Bump.contains b x)
-  | _ -> Alcotest.fail "allocations failed");
+  let x = addr_exn (Bump.alloc b ~bytes:100 ~limit_bytes:max_int) in
+  let y = addr_exn (Bump.alloc b ~bytes:100 ~limit_bytes:max_int) in
+  check Alcotest.int "contiguous bump" (x + 100) y;
+  check Alcotest.bool "contains" true (Bump.contains b x);
   check Alcotest.int "used" 200 (Bump.used_bytes b);
   check Alcotest.int "used pages" 1 (Bump.used_pages b)
 
@@ -28,10 +30,10 @@ let test_bump_limit () =
   let m = Mini.machine () in
   let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 in
   check Alcotest.bool "limit enforced" true
-    (Bump.alloc b ~bytes:300 ~limit_bytes:200 = None);
+    (Bump.alloc b ~bytes:300 ~limit_bytes:200 = -1);
   check Alcotest.bool "capacity enforced" true
-    (Bump.alloc b ~bytes:(5 * 4096) ~limit_bytes:max_int = None);
-  ignore (Bump.alloc b ~bytes:100 ~limit_bytes:max_int);
+    (Bump.alloc b ~bytes:(5 * 4096) ~limit_bytes:max_int = -1);
+  ignore (Bump.alloc b ~bytes:100 ~limit_bytes:max_int : int);
   Bump.reset b;
   check Alcotest.int "reset" 0 (Bump.used_bytes b)
 
@@ -45,26 +47,22 @@ let ms_fixture () =
 
 let test_ms_alloc_same_page () =
   let _, ms = ms_fixture () in
-  let a = Ms.alloc ms ~bytes:100 ~grow:(fun () -> true) in
-  let b = Ms.alloc ms ~bytes:100 ~grow:(fun () -> true) in
-  (match (a, b) with
-  | Some x, Some y ->
-      check Alcotest.int "same page"
-        (Vmsim.Page.of_addr x) (Vmsim.Page.of_addr y)
-  | _ -> Alcotest.fail "alloc failed");
+  let x = addr_exn (Ms.alloc ms ~bytes:100 ~grow:(fun () -> true)) in
+  let y = addr_exn (Ms.alloc ms ~bytes:100 ~grow:(fun () -> true)) in
+  check Alcotest.int "same page" (Vmsim.Page.of_addr x) (Vmsim.Page.of_addr y);
   check Alcotest.int "one page acquired" 1 (Ms.pages_acquired ms)
 
 let test_ms_grow_denied () =
   let _, ms = ms_fixture () in
   check Alcotest.bool "denied" true
-    (Ms.alloc ms ~bytes:64 ~grow:(fun () -> false) = None)
+    (Ms.alloc ms ~bytes:64 ~grow:(fun () -> false) = -1)
 
 let test_ms_sweep_frees_unmarked () =
   let m, ms = ms_fixture () in
   let heap = m.Mini.heap in
   let objects = Heap.objects heap in
   let place size =
-    let addr = Option.get (Ms.alloc ms ~bytes:size ~grow:(fun () -> true)) in
+    let addr = addr_exn (Ms.alloc ms ~bytes:size ~grow:(fun () -> true)) in
     let id = OT.alloc objects ~size ~nrefs:0 ~kind:`Scalar in
     Heap.place heap id ~addr;
     id
@@ -87,7 +85,7 @@ let test_ms_empty_page_recycled () =
      different class: the page must be reusable *)
   let ids =
     List.init 10 (fun _ ->
-        let addr = Option.get (Ms.alloc ms ~bytes:2048 ~grow:(fun () -> true)) in
+        let addr = addr_exn (Ms.alloc ms ~bytes:2048 ~grow:(fun () -> true)) in
         let id = OT.alloc objects ~size:2048 ~nrefs:0 ~kind:`Scalar in
         Heap.place heap id ~addr;
         id)
@@ -98,16 +96,14 @@ let test_ms_empty_page_recycled () =
   (* nothing marked: all dead, pages wholly empty *)
   let got = ref 0 in
   for _ = 1 to 10 do
-    match Ms.alloc ms ~bytes:8 ~grow:(fun () -> false) with
-    | Some _ -> incr got
-    | None -> ()
+    if Ms.alloc ms ~bytes:8 ~grow:(fun () -> false) >= 0 then incr got
   done;
   check Alcotest.bool "recycled page served a different class" true (!got > 0);
   check Alcotest.int "no new pages" pages_before (Ms.pages_acquired ms)
 
 let test_ms_owns_page () =
   let _, ms = ms_fixture () in
-  let addr = Option.get (Ms.alloc ms ~bytes:64 ~grow:(fun () -> true)) in
+  let addr = addr_exn (Ms.alloc ms ~bytes:64 ~grow:(fun () -> true)) in
   check Alcotest.bool "owns" true (Ms.owns_page ms (Vmsim.Page.of_addr addr));
   check Alcotest.bool "not owns" false (Ms.owns_page ms 99999)
 
@@ -124,13 +120,14 @@ let prop_ms_accounting =
       let placed =
         List.filter_map
           (fun (size, keep) ->
-            match Ms.alloc ms ~bytes:size ~grow:(fun () -> true) with
-            | None -> None
-            | Some addr ->
-                let id = OT.alloc objects ~size ~nrefs:0 ~kind:`Scalar in
-                Heap.place heap id ~addr;
-                if keep then OT.set_marked objects id true;
-                Some (id, keep))
+            let addr = Ms.alloc ms ~bytes:size ~grow:(fun () -> true) in
+            if addr < 0 then None
+            else begin
+              let id = OT.alloc objects ~size ~nrefs:0 ~kind:`Scalar in
+              Heap.place heap id ~addr;
+              if keep then OT.set_marked objects id true;
+              Some (id, keep)
+            end)
           plan
       in
       Ms.sweep ms;
@@ -144,7 +141,7 @@ let test_los_alloc_sweep () =
   let heap = m.Mini.heap in
   let objects = Heap.objects heap in
   let los = Los.create heap ~name:"los" in
-  let addr = Option.get (Los.alloc los ~bytes:10_000 ~grow:(fun ~npages:_ -> true)) in
+  let addr = addr_exn (Los.alloc los ~bytes:10_000 ~grow:(fun ~npages:_ -> true)) in
   let id = OT.alloc objects ~size:10_000 ~nrefs:0 ~kind:`Array in
   Heap.place heap id ~addr;
   Los.note_object los id;
@@ -163,7 +160,7 @@ let test_los_grow_denied () =
   let m = Mini.machine () in
   let los = Los.create m.Mini.heap ~name:"los" in
   check Alcotest.bool "denied" true
-    (Los.alloc los ~bytes:10_000 ~grow:(fun ~npages:_ -> false) = None)
+    (Los.alloc los ~bytes:10_000 ~grow:(fun ~npages:_ -> false) = -1)
 
 (* ----------------------------------------------------------------- *)
 (* Remset / Card_table / Write_buffer                                 *)

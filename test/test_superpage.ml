@@ -6,6 +6,12 @@ module SC = Gc_common.Size_class
 
 let check = Alcotest.check
 
+(* [Sp.alloc] returns an address or -1; these tests also want the cell's
+   superpage. *)
+let alloc_sp t ~bytes ~kind ~grow ~resident =
+  let addr = Sp.alloc t ~bytes ~kind ~grow ~resident in
+  if addr < 0 then None else Some (addr, Option.get (Sp.sp_of_addr t addr))
+
 let fixture () =
   let m = Mini.machine () in
   (m, Sp.create m.Mini.heap)
@@ -20,8 +26,9 @@ let test_geometry () =
 
 let test_alloc_alignment_and_ownership () =
   let _, t = fixture () in
-  match Sp.alloc t ~bytes:100 ~kind:Sp.Scalar ~grow:(fun () -> true)
-          ~resident:(fun _ -> true)
+  match
+    alloc_sp t ~bytes:100 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      ~resident:(fun _ -> true)
   with
   | None -> Alcotest.fail "alloc failed"
   | Some (addr, sp) ->
@@ -44,7 +51,7 @@ let test_scalar_array_segregation () =
   let _, t = fixture () in
   let alloc kind =
     Option.get
-      (Sp.alloc t ~bytes:64 ~kind ~grow:(fun () -> true)
+      (alloc_sp t ~bytes:64 ~kind ~grow:(fun () -> true)
          ~resident:(fun _ -> true))
   in
   let _, sp_scalar = alloc Sp.Scalar in
@@ -61,7 +68,7 @@ let test_grow_denied () =
   check Alcotest.bool "denied" true
     (Sp.alloc t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> false)
        ~resident:(fun _ -> true)
-    = None)
+    = -1)
 
 let test_blocked_cells () =
   let _, t = fixture () in
@@ -70,7 +77,7 @@ let test_blocked_cells () =
   let resident p = p <> !blocked_page in
   let addr, sp =
     Option.get
-      (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      (alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
          ~resident)
   in
   ignore addr;
@@ -78,7 +85,7 @@ let test_blocked_cells () =
   blocked_page := sp.Sp.first_page + 2;
   let rec drain n =
     match
-      Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> false) ~resident
+      alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> false) ~resident
     with
     | Some (a, _) ->
         check Alcotest.bool "never hands out a blocked cell" true
@@ -102,7 +109,7 @@ let test_cells_overlapping_page () =
   let _, t = fixture () in
   let _, sp =
     Option.get
-      (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      (alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
          ~resident:(fun _ -> true))
   in
   (* every data page overlaps at least one cell; the total with overlaps
@@ -121,7 +128,7 @@ let test_free_cell_and_recycle () =
   ignore m;
   let addr, sp =
     Option.get
-      (Sp.alloc t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      (alloc_sp t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> true)
          ~resident:(fun _ -> true))
   in
   let before = Sp.free_bytes t in
@@ -132,7 +139,7 @@ let test_free_cell_and_recycle () =
   (* reassignable to a different class *)
   let _, sp2 =
     Option.get
-      (Sp.alloc t ~bytes:2048 ~kind:Sp.Array ~grow:(fun () -> false)
+      (alloc_sp t ~bytes:2048 ~kind:Sp.Array ~grow:(fun () -> false)
          ~resident:(fun _ -> true))
   in
   check Alcotest.int "reused without growth" sp.Sp.index sp2.Sp.index

@@ -186,6 +186,72 @@ let test_rng_geometric () =
   (* mean of geometric(0.5) failures = 1.0 *)
   check Alcotest.bool "geometric mean near 1" true (mean > 0.8 && mean < 1.2)
 
+(* The streams must not move: see [Rng_pins]. *)
+let test_rng_pinned () =
+  let draws seed n f =
+    let r = Rng.create seed in
+    Array.init n (fun _ -> f r)
+  in
+  let ints = Alcotest.(array int) and floats = Alcotest.(array (float 0.0)) in
+  let bools r = if Rng.bool r then '1' else '0' in
+  List.iter
+    (fun (seed, int_, float_, bool_, geometric, exponential, split) ->
+      let n = Array.length int_ in
+      let name what = Printf.sprintf "%s, seed %d" what seed in
+      check ints (name "int") int_ (draws seed n (fun r -> Rng.int r max_int));
+      check floats (name "float") float_ (draws seed n (fun r -> Rng.float r 1.0));
+      check Alcotest.string (name "bool") bool_
+        (String.of_seq (Array.to_seq (draws seed n bools)));
+      check ints (name "geometric") geometric
+        (draws seed n (fun r -> Rng.geometric r 0.3));
+      check floats (name "exponential") exponential
+        (draws seed n (fun r -> Rng.exponential r 2.0));
+      check ints (name "split") split
+        (draws seed n (fun r -> Rng.int (Rng.split r) max_int)))
+    Rng_pins.
+      [
+        ( 1,
+          pin_int_1,
+          pin_float_1,
+          pin_bool_1,
+          pin_geometric_1,
+          pin_exponential_1,
+          pin_split_1 );
+        ( 42,
+          pin_int_42,
+          pin_float_42,
+          pin_bool_42,
+          pin_geometric_42,
+          pin_exponential_42,
+          pin_split_42 );
+      ]
+
+(* Per-operation draws must not allocate: the simulator makes several per
+   simulated allocation. The measurement itself is calibrated away. *)
+let test_rng_no_alloc () =
+  let r = Rng.create 5 in
+  let n = 100_000 in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = measure (fun () -> ()) in
+  let ints =
+    measure (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Rng.int r 1000) : int)
+        done)
+  in
+  let chances =
+    measure (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Rng.chance r 0.3) : bool)
+        done)
+  in
+  check (Alcotest.float 0.0) "Rng.int allocates nothing" 0.0 (ints -. base);
+  check (Alcotest.float 0.0) "Rng.chance allocates nothing" 0.0 (chances -. base)
+
 (* ----------------------------------------------------------------- *)
 (* Summary                                                            *)
 
@@ -253,6 +319,18 @@ let prop_rng_int_bounds =
       let x = Rng.int r bound in
       x >= 0 && x < bound)
 
+(* [chance] is defined bit-for-bit as the comparison it replaces. *)
+let prop_rng_chance =
+  QCheck.Test.make ~name:"rng chance = float 1.0 < p"
+    ~count:500
+    QCheck.(triple small_int (float_range (-0.5) 1.5) (int_range 1 50))
+    (fun (seed, p, n) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      List.for_all Fun.id
+        (List.init n (fun _ ->
+             let c = Rng.chance a p in
+             c = (Rng.float b 1.0 < p))))
+
 let () =
   Alcotest.run "util"
     [
@@ -282,9 +360,17 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_no_alloc;
         ] );
       ("summary", [ Alcotest.test_case "stats" `Quick test_summary ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_vec_model; prop_vec_push_pop; prop_bitset_model; prop_rng_int_bounds ] );
+          [
+            prop_vec_model;
+            prop_vec_push_pop;
+            prop_bitset_model;
+            prop_rng_int_bounds;
+            prop_rng_chance;
+          ] );
     ]
