@@ -69,8 +69,8 @@ let minor t =
         ~copy_young:(fun id ->
           copy_into t to_space id;
           Vec.push survivors id)
-        ~extra_roots:(fun enqueue ->
-          Gen_shared.seed_remset t.heap t.remset enqueue);
+        ~extra_roots:(fun tr ->
+          Gen_shared.seed_remset t.heap t.remset (Gc_common.Tracer.enqueue tr));
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Vec.iter (Vec.push t.mature_objects) survivors;
       Gc_common.Bump_space.reset t.nursery;

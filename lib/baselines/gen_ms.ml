@@ -66,8 +66,8 @@ let minor t =
       Gen_shared.minor_trace t.heap ~epoch:t.epoch
         ~in_young:(in_young t)
         ~copy_young:(copy_young t)
-        ~extra_roots:(fun enqueue ->
-          Gen_shared.seed_remset t.heap t.remset enqueue);
+        ~extra_roots:(fun tr ->
+          Gen_shared.seed_remset t.heap t.remset (Gc_common.Tracer.enqueue tr));
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Gc_common.Bump_space.reset t.nursery;
       Gc_stats.note_heap_pages t.stats (total_pages t))

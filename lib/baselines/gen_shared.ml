@@ -21,16 +21,13 @@ let seed_remset heap remset enqueue =
         enqueue (Heapsim.Object_table.get_ref objects src field)
       end)
 
-let scan_fields objects id enqueue =
-  Heapsim.Object_table.iter_refs objects id (fun _field target -> enqueue target)
-
 let minor_trace heap ~epoch ~in_young ~copy_young ~extra_roots =
   let objects = Heapsim.Heap.objects heap in
-  Gc_common.Tracer.run
-    ~roots:(fun enqueue ->
-      Heapsim.Heap.iter_roots heap enqueue;
-      extra_roots enqueue)
-    ~visit:(fun id ~enqueue ->
+  Gc_common.Tracer.run heap
+    ~roots:(fun tr ->
+      Heapsim.Heap.iter_roots heap (Gc_common.Tracer.enqueue tr);
+      extra_roots tr)
+    ~visit:(fun tr id ->
       if
         Heapsim.Object_table.is_live objects id
         && in_young id
@@ -38,14 +35,14 @@ let minor_trace heap ~epoch ~in_young ~copy_young ~extra_roots =
       then begin
         Heapsim.Object_table.set_scratch objects id epoch;
         copy_young id;
-        scan_fields objects id enqueue
+        Gc_common.Tracer.push_refs tr id
       end)
 
 let full_trace heap ~epoch ~in_young ~copy_young ~on_old =
   let objects = Heapsim.Heap.objects heap in
-  Gc_common.Tracer.run
-    ~roots:(fun enqueue -> Heapsim.Heap.iter_roots heap enqueue)
-    ~visit:(fun id ~enqueue ->
+  Gc_common.Tracer.run heap
+    ~roots:(fun tr -> Heapsim.Heap.iter_roots heap (Gc_common.Tracer.enqueue tr))
+    ~visit:(fun tr id ->
       if
         Heapsim.Object_table.is_live objects id
         && Heapsim.Object_table.scratch objects id <> epoch
@@ -57,7 +54,7 @@ let full_trace heap ~epoch ~in_young ~copy_young ~on_old =
           Heapsim.Heap.touch_object heap ~write:true id;
           on_old id
         end;
-        scan_fields objects id enqueue
+        Gc_common.Tracer.push_refs tr id
       end)
 
 let reap_young heap young ~epoch =

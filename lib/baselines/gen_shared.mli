@@ -22,7 +22,7 @@ val minor_trace :
   epoch:int ->
   in_young:(Heapsim.Obj_id.t -> bool) ->
   copy_young:(Heapsim.Obj_id.t -> unit) ->
-  extra_roots:((Heapsim.Obj_id.t -> unit) -> unit) ->
+  extra_roots:(Gc_common.Tracer.t -> unit) ->
   unit
 (** Nursery collection: trace from mutator roots plus [extra_roots],
     following only young objects; each first-visited young object is

@@ -38,9 +38,10 @@ let collect t =
       let to_space = t.spaces.(t.to_idx) in
       Gc_common.Bump_space.reset to_space;
       let objects = Heapsim.Heap.objects t.heap in
-      Gc_common.Tracer.run
-        ~roots:(fun enqueue -> Heapsim.Heap.iter_roots t.heap enqueue)
-        ~visit:(fun id ~enqueue ->
+      Gc_common.Tracer.run t.heap
+        ~roots:(fun tr ->
+          Heapsim.Heap.iter_roots t.heap (Gc_common.Tracer.enqueue tr))
+        ~visit:(fun tr id ->
           if Heapsim.Object_table.scratch objects id <> t.epoch then begin
             Heapsim.Object_table.set_scratch objects id t.epoch;
             if Heapsim.Object_table.space objects id = Space_tag.nursery then begin
@@ -54,16 +55,14 @@ let collect t =
                   (Collector.Heap_exhausted
                      (name ^ ": survivors overflow the copy reserve"));
               Trace_util.copy_object t.heap id ~new_addr:addr;
-              Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                  enqueue target)
+              Gc_common.Tracer.push_refs tr id
             end
             else begin
               (* large object: mark for the LOS sweep *)
               Heapsim.Object_table.set_marked objects id true;
               Charge.object_visit t.heap;
               Heapsim.Heap.touch_object t.heap ~write:true id;
-              Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                  enqueue target)
+              Gc_common.Tracer.push_refs tr id
             end
           end);
       (* reap unreached copy-space objects *)

@@ -1,14 +1,13 @@
 let mark_all heap =
   let objects = Heapsim.Heap.objects heap in
-  Gc_common.Tracer.run
-    ~roots:(fun enqueue -> Heapsim.Heap.iter_roots heap enqueue)
-    ~visit:(fun id ~enqueue ->
+  Gc_common.Tracer.run heap
+    ~roots:(fun tr -> Heapsim.Heap.iter_roots heap (Gc_common.Tracer.enqueue tr))
+    ~visit:(fun tr id ->
       if not (Heapsim.Object_table.marked objects id) then begin
         Heapsim.Object_table.set_marked objects id true;
         Gc_common.Charge.object_visit heap;
         Heapsim.Heap.touch_object heap ~write:true id;
-        Heapsim.Object_table.iter_refs objects id (fun _field target ->
-            enqueue target)
+        Gc_common.Tracer.push_refs tr id
       end)
 
 let copy_object heap id ~new_addr =

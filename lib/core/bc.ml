@@ -52,6 +52,9 @@ type t = {
          The paper stores only the bit and clears approximately; exact
          counts keep clearing sound in every interleaving. *)
   empty_candidates : int Vec.t;
+  sweep_buf : Heapsim.Obj_id.t Vec.t;
+      (* the page being swept: freeing swap-removes from its page-map
+         bucket, so the sweep walks this copy, reused across pages *)
   pending_roots : Heapsim.Obj_id.t Vec.t;
       (* objects bookmarked while a trace is running; re-seeded so mid-GC
          evictions cannot hide connectivity *)
@@ -101,11 +104,20 @@ type t = {
 let resident_ok t page =
   Residency.is_resident t.residency page || Bitset.mem t.discarded page
 
-let obj_resident t id =
-  let ok = ref true in
-  Heapsim.Heap.iter_pages t.heap id (fun page ->
-      if not (resident_ok t page) then ok := false);
-  !ok
+(* Whether every page of the object satisfies [resident]. Plain
+   recursion: [Heap.iter_pages] takes a closure and a [ref] per object,
+   and this runs for every object a full collection marks, counts or
+   sweeps. *)
+let rec pages_allowed resident page last =
+  page > last || (resident page && pages_allowed resident (page + 1) last)
+
+let obj_pages_allowed heap id ~resident =
+  assert (Heapsim.Object_table.addr (Heapsim.Heap.objects heap) id >= 0);
+  pages_allowed resident
+    (Heapsim.Heap.first_page heap id)
+    (Heapsim.Heap.last_page heap id)
+
+let obj_resident t id = obj_pages_allowed t.heap id ~resident:t.sp_resident
 
 (* Track the pages of a freshly placed object in the residency map. A
    plain loop: [Heap.iter_pages] would take a fresh closure per object. *)
@@ -539,38 +551,32 @@ let set_mark t id =
    like a stock tracer and faults. *)
 let mark_heap t ~follow =
   let objects = Heapsim.Heap.objects t.heap in
-  let trace roots =
-    Gc_common.Tracer.run ~roots ~visit:(fun id ~enqueue ->
-        if
-          Heapsim.Object_table.is_live objects id
-          && follow id
-          && not (is_marked t id)
-        then begin
-          set_mark t id;
-          Charge.object_visit t.heap;
-          Heapsim.Heap.touch_object t.heap ~write:true id;
-          Heapsim.Object_table.iter_refs objects id (fun _ target ->
-              enqueue target)
-        end)
+  let visit tr id =
+    if
+      Heapsim.Object_table.is_live objects id
+      && follow id
+      && not (is_marked t id)
+    then begin
+      set_mark t id;
+      Charge.object_visit t.heap;
+      Heapsim.Heap.touch_object t.heap ~write:true id;
+      Gc_common.Tracer.push_refs tr id
+    end
   in
-  trace (fun enqueue ->
+  Gc_common.Tracer.run t.heap ~visit ~roots:(fun tr ->
+      let enqueue = Gc_common.Tracer.enqueue tr in
       Heapsim.Heap.iter_roots t.heap enqueue;
       bookmark_roots t enqueue);
   while not (Vec.is_empty t.pending_roots) do
     let pending = Vec.to_list t.pending_roots in
     Vec.clear t.pending_roots;
-    trace (fun enqueue -> List.iter enqueue pending)
+    Gc_common.Tracer.run t.heap ~visit ~roots:(fun tr ->
+        List.iter (Gc_common.Tracer.enqueue tr) pending)
   done
 
 let mark_heap t ~follow =
   Gc_common.Pause.span t.heap Telemetry.Event.Mark (fun () ->
       mark_heap t ~follow)
-
-let obj_pages_allowed heap id ~resident =
-  let ok = ref true in
-  Heapsim.Heap.iter_pages heap id (fun page ->
-      if not (resident page) then ok := false);
-  !ok
 
 (* Sweep the mature superpages, visiting only pages allowed by
    [resident]; evicted pages are left untouched, their objects preserved
@@ -588,21 +594,23 @@ let sweep_superpages t ~resident =
         if resident page && Heapsim.Page_map.count_on page_map page > 0 then begin
           Charge.page_sweep heap;
           Vmsim.Vmm.touch vmm ~write:true page;
-          Array.iter
-            (fun id ->
-              (* process each object from its first page only, and only
-                 when every page it spans may be visited *)
-              if
-                Heapsim.Heap.first_page heap id = page
-                && obj_pages_allowed heap id ~resident
-                && (not (is_marked t id))
-                && not (Heapsim.Object_table.bookmarked objects id)
-              then begin
-                let addr = Heapsim.Object_table.addr objects id in
-                Heapsim.Heap.free_object heap id;
-                Superpage.free_cell t.sp_space sp ~addr
-              end)
-            (Heapsim.Page_map.objects_on page_map page);
+          let on_page = t.sweep_buf in
+          Heapsim.Page_map.copy_on page_map page on_page;
+          for i = 0 to Vec.length on_page - 1 do
+            let id = Vec.get on_page i in
+            (* process each object from its first page only, and only
+               when every page it spans may be visited *)
+            if
+              Heapsim.Heap.first_page heap id = page
+              && obj_pages_allowed heap id ~resident
+              && (not (is_marked t id))
+              && not (Heapsim.Object_table.bookmarked objects id)
+            then begin
+              let addr = Heapsim.Object_table.addr objects id in
+              Heapsim.Heap.free_object heap id;
+              Superpage.free_cell t.sp_space sp ~addr
+            end
+          done;
           if
             Heapsim.Page_map.count_on page_map page = 0
             && page <> sp.Superpage.first_page
@@ -674,7 +682,8 @@ let sp_copy_young t id =
    table (skipping — and re-marking — cards on evicted pages; their
    nursery referents are covered by bookmarks) and bookmarked nursery
    objects (§3.1, §3.4). *)
-let remembered_roots t enqueue =
+let remembered_roots t tr =
+  let enqueue = Gc_common.Tracer.enqueue tr in
   let objects = Heapsim.Heap.objects t.heap in
   let follow_src src =
     (not t.opts.Gc_config.bookmarks_enabled) || obj_resident t src
@@ -706,8 +715,7 @@ let remembered_roots t enqueue =
               && a + sz > card_addr
             then begin
               Charge.object_visit t.heap;
-              Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                  enqueue target)
+              Gc_common.Tracer.push_refs tr id
             end)
       end
       else requeue := card_addr :: !requeue);
@@ -790,7 +798,7 @@ let minor t =
       while not (Vec.is_empty t.pending_roots) do
         let pending = Vec.to_list t.pending_roots in
         Vec.clear t.pending_roots;
-        run (fun enqueue -> List.iter enqueue pending)
+        run (fun tr -> List.iter (Gc_common.Tracer.enqueue tr) pending)
       done;
       Baselines.Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       retire_nursery_pages t;
@@ -876,6 +884,16 @@ let full t =
 (* ------------------------------------------------------------------ *)
 (* Compacting collection (§3.2, §3.4.1)                                *)
 
+(* A cell from the first target superpage in [pool] (from index [i])
+   that has one, or -1. *)
+let rec pool_alloc t pool i =
+  if i >= Vec.length pool then -1
+  else
+    let addr =
+      Superpage.alloc_on t.sp_space (Vec.get pool i) ~resident:t.sp_resident
+    in
+    if addr >= 0 then addr else pool_alloc t pool (i + 1)
+
 let compact t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Compacting (fun () ->
       reload_nursery t;
@@ -931,17 +949,15 @@ let compact t =
               else if not (Heapsim.Object_table.bookmarked objects id) then
                 dead_on.(i) <- dead_on.(i) + 1));
       (* select the minimum target set per (class, kind) *)
-      let by_idx = Hashtbl.create 32 in
+      let by_idx = Array.make nclasses [] in
       Superpage.iter_sps t.sp_space (fun sp ->
           if sp.Superpage.cells_total > 0 then begin
             let key = idx_of sp in
-            let existing =
-              Option.value (Hashtbl.find_opt by_idx key) ~default:[]
-            in
-            Hashtbl.replace by_idx key (sp :: existing)
+            by_idx.(key) <- sp :: by_idx.(key)
           end);
-      let target_pools = Hashtbl.create 32 in
-      Hashtbl.iter
+      (* a (class, kind) without superpages keeps an empty pool *)
+      let target_pools = Array.init nclasses (fun _ -> Vec.create ()) in
+      Array.iteri
         (fun key sps ->
           let capacity (sp : Superpage.sp) =
             marked_on.(sp.Superpage.index)
@@ -949,7 +965,7 @@ let compact t =
             + Vec.length sp.Superpage.free
           in
           let covered = ref 0 in
-          let pool = Vec.create () in
+          let pool = target_pools.(key) in
           let choose sp =
             is_target.(sp.Superpage.index) <- true;
             Vec.push pool sp;
@@ -967,28 +983,12 @@ let compact t =
           in
           List.iter
             (fun sp -> if !covered < demand.(key) then choose sp)
-            sorted;
-          Hashtbl.replace target_pools key pool)
+            sorted)
         by_idx;
       (* sweep the dead; epoch marks survive for the move pass *)
       sweep_superpages t ~resident;
       sweep_los t ~resident;
       (* forward marked objects off the non-target superpages *)
-      let pool_alloc key =
-        match Hashtbl.find_opt target_pools key with
-        | None -> -1
-        | Some pool ->
-            let rec go i =
-              if i >= Vec.length pool then -1
-              else
-                let addr =
-                  Superpage.alloc_on t.sp_space (Vec.get pool i)
-                    ~resident:t.sp_resident
-                in
-                if addr >= 0 then addr else go (i + 1)
-            in
-            go 0
-      in
       Superpage.iter_sps t.sp_space (fun sp ->
           if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
           then
@@ -998,7 +998,7 @@ let compact t =
                   && not (Heapsim.Object_table.bookmarked objects id)
                 then begin
                   let key = idx_of sp in
-                  let addr = pool_alloc key in
+                  let addr = pool_alloc t target_pools.(key) 0 in
                   let addr =
                     if addr >= 0 then addr
                     else
@@ -1389,10 +1389,17 @@ let check_invariants t =
           (Printf.sprintf "BC invariant: object #%d bit=%b counted=%b" id bit
              counted));
   (* per-superpage cell accounting: free + blocked + live occupants never
-     exceed the carved cell count *)
+     exceed the carved cell count; and the O(pages) vacancy test that
+     recycling relies on agrees with the hashed live count *)
   Superpage.iter_sps t.sp_space (fun sp ->
+      let occupied = Superpage.live_count t.sp_space sp in
+      let vacant = Superpage.is_vacant t.sp_space sp in
+      if vacant <> (occupied = 0) then
+        failwith
+          (Printf.sprintf
+             "BC invariant: superpage %d vacant=%b but live count %d"
+             sp.Superpage.index vacant occupied);
       if sp.Superpage.cells_total > 0 then begin
-        let occupied = Superpage.live_count t.sp_space sp in
         let free = Vec.length sp.Superpage.free in
         let blocked = Vec.length sp.Superpage.blocked in
         if free + blocked + occupied > sp.Superpage.cells_total then
@@ -1535,6 +1542,7 @@ let factory config heap =
       nonsp_deferred = Vec.create ();
       nonsp_incoming = 0;
       empty_candidates = Vec.create ();
+      sweep_buf = Vec.create ();
       pending_roots = Vec.create ();
       target_footprint = None;
       controller_cap = None;

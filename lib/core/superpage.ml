@@ -61,8 +61,6 @@ let is_header_page t page =
   | Some sp -> sp.first_page = page
   | None -> false
 
-let data_pages sp = [ sp.first_page + 1; sp.first_page + 2; sp.first_page + 3 ]
-
 let iter_sps t f = Vec.iter f t.sps
 
 let sp_count t = Vec.length t.sps
@@ -303,12 +301,28 @@ let live_count t sp =
   done;
   !count
 
+(* Cells never cross a superpage boundary and nothing else is placed in
+   its pages, so an empty page map over its pages means no live object:
+   the same answer as [live_count sp = 0] in O(pages), without hashing. *)
+let rec pages_vacant page_map page last =
+  page > last
+  || Heapsim.Page_map.count_on page_map page = 0
+     && pages_vacant page_map (page + 1) last
+
+let is_vacant t sp =
+  pages_vacant
+    (Heapsim.Heap.page_map t.heap)
+    sp.first_page
+    (sp.first_page + Vmsim.Page.pages_per_superpage - 1)
+
 let recycle_empty t ~resident =
   iter_sps t (fun sp ->
       if
         sp.cells_total > 0 && sp.incoming = 0 && sp.evicted_data_pages = 0
-        && live_count t sp = 0
-        && List.for_all resident (data_pages sp)
+        && is_vacant t sp
+        (* every data page usable *)
+        && pages_usable ~resident (sp.first_page + 1)
+             (sp.first_page + Vmsim.Page.pages_per_superpage - 1)
       then begin
         t.free_cell_bytes <-
           t.free_cell_bytes - (Vec.length sp.free * cell_size sp);

@@ -73,9 +73,6 @@ val owns_page : t -> int -> bool
 
 val is_header_page : t -> int -> bool
 
-val data_pages : sp -> int list
-(** The three evictable pages of a superpage. *)
-
 val iter_sps : t -> (sp -> unit) -> unit
 
 val sp_count : t -> int
@@ -94,11 +91,18 @@ val note_page_resident : t -> int -> resident:(int -> bool) -> unit
     fully usable under the [resident] predicate. *)
 
 val recycle_empty : t -> resident:(int -> bool) -> unit
-(** Move superpages with no live objects, no evicted pages and no incoming
-    bookmarks to the empty pool for reassignment to any class. *)
+(** Move superpages with no live objects ({!is_vacant}), no evicted
+    pages and no incoming bookmarks to the empty pool for reassignment to
+    any class. *)
 
 val cells_overlapping_page : sp -> int -> int
 (** How many of the superpage's cell slots overlap the given page. *)
 
 val live_count : t -> sp -> int
-(** Live objects currently placed on the superpage (via the page map). *)
+(** Live objects currently placed on the superpage (via the page map):
+    distinct ids, hashed. The oracle for {!is_vacant}. *)
+
+val is_vacant : t -> sp -> bool
+(** No object is placed on any of the superpage's pages: one page-map
+    bucket length per page, no allocation. Equivalent to
+    [live_count t sp = 0] because cells never cross a superpage. *)

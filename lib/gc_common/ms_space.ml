@@ -17,6 +17,9 @@ type t = {
   page_recs : (int, page_rec) Hashtbl.t;
   pages : int Vec.t;  (* acquisition order *)
   mutable free_bytes : int;
+  sweep_buf : Heapsim.Obj_id.t Vec.t;
+      (* the page being swept: freeing swap-removes from its page-map
+         bucket, so the sweep walks this copy, reused across pages *)
 }
 
 let create heap ~name ~max_cell =
@@ -31,6 +34,7 @@ let create heap ~name ~max_cell =
     page_recs = Hashtbl.create 64;
     pages = Vec.create ();
     free_bytes = 0;
+    sweep_buf = Vec.create ();
   }
 
 let max_cell t = t.max_cell
@@ -143,24 +147,26 @@ let alloc t ~bytes ~grow =
 let sweep t =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
+  let page_map = Heapsim.Heap.page_map heap in
   let vmm = Heapsim.Heap.vmm heap in
+  let on_page = t.sweep_buf in
   Vec.iter
     (fun page ->
       Charge.page_sweep heap;
       Vmsim.Vmm.touch vmm ~write:true page;
       let pr = Hashtbl.find t.page_recs page in
-      let on_page = Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page in
-      Array.iter
-        (fun id ->
-          if Heapsim.Object_table.marked objects id then
-            Heapsim.Object_table.set_marked objects id false
-          else begin
-            let addr = Heapsim.Object_table.addr objects id in
-            Heapsim.Heap.free_object heap id;
-            Vec.push pr.free addr;
-            t.free_bytes <- t.free_bytes + Size_class.cell_size pr.cls
-          end)
-        on_page;
+      Heapsim.Page_map.copy_on page_map page on_page;
+      for i = 0 to Vec.length on_page - 1 do
+        let id = Vec.get on_page i in
+        if Heapsim.Object_table.marked objects id then
+          Heapsim.Object_table.set_marked objects id false
+        else begin
+          let addr = Heapsim.Object_table.addr objects id in
+          Heapsim.Heap.free_object heap id;
+          Vec.push pr.free addr;
+          t.free_bytes <- t.free_bytes + Size_class.cell_size pr.cls
+        end
+      done;
       if Vec.length pr.free = pr.cells_total && pr.cells_total > 0 then begin
         (* wholly empty: recycle to any class *)
         t.free_bytes <-

@@ -30,6 +30,12 @@ val objects_on : t -> int -> Obj_id.t array
 (** Snapshot of the objects registered on a page (safe to mutate the map
     while iterating the snapshot). *)
 
+val copy_on : t -> int -> Obj_id.t Repro_util.Vec.t -> unit
+(** [copy_on t page buf] replaces [buf]'s contents with the page's
+    objects, in bucket order: {!objects_on} into a buffer the caller
+    reuses, so a sweep that frees while it walks a page allocates nothing
+    once the buffer has grown. *)
+
 val count_on : t -> int -> int
 
 val iter_on : t -> int -> (Obj_id.t -> unit) -> unit

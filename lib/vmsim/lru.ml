@@ -81,6 +81,8 @@ let set_nxt t page v = (chunk_of t page).next.(page land chunk_mask) <- v
 
 let set_prv t page v = (chunk_of t page).prev.(page land chunk_mask) <- v
 
+let mem t page = where t page <> 0
+
 let membership t page =
   match where t page with
   | 0 -> None
@@ -160,10 +162,9 @@ let remove_if_present t page =
     true
   end
 
-let active_tail t = if t.active_tail >= 0 then Some t.active_tail else None
+let active_tail t = t.active_tail
 
-let inactive_tail t =
-  if t.inactive_tail >= 0 then Some t.inactive_tail else None
+let inactive_tail t = t.inactive_tail
 
 let active_size t = t.active_size
 

@@ -399,7 +399,7 @@ let swap_out t page =
        a later pass can retry once the device recovers *)
     fclear t page Page_flags.referenced;
     fclear t page Page_flags.surrendered;
-    if Lru.membership t.lru page = None then Lru.push_active_head t.lru page;
+    if not (Lru.mem t.lru page) then Lru.push_active_head t.lru page;
     false
   end
 
@@ -451,130 +451,141 @@ let refill_inactive t n =
   let budget = (2 * Lru.active_size t.lru) + 2 in
   while !moved < n && !attempts < budget do
     incr attempts;
-    match Lru.active_tail t.lru with
-    | None -> attempts := budget
-    | Some page ->
-        check_mapped t page;
-        Lru.remove t.lru page;
-        if fget t page Page_flags.referenced then begin
-          fclear t page Page_flags.referenced;
-          Lru.push_active_head t.lru page
-        end
-        else begin
-          Lru.push_inactive_head t.lru page;
-          incr moved
-        end
+    let page = Lru.active_tail t.lru in
+    if page < 0 then attempts := budget
+    else begin
+      check_mapped t page;
+      Lru.remove t.lru page;
+      if fget t page Page_flags.referenced then begin
+        fclear t page Page_flags.referenced;
+        Lru.push_active_head t.lru page
+      end
+      else begin
+        Lru.push_inactive_head t.lru page;
+        incr moved
+      end
+    end
   done;
   !moved
+
+let lru_tail t ~active =
+  if active then Lru.active_tail t.lru else Lru.inactive_tail t.lru
+
+(* Desperation eviction from one list's tail (the active list when
+   [active]): evict without notices until [required] frames are free, the
+   list is empty or [max_attempts] (counted across both lists) is spent.
+   Returns the attempts used. *)
+let steal t ~required ~max_attempts ~active attempts =
+  let attempts = ref attempts in
+  while
+    free_frames t < required && !attempts < max_attempts
+    && lru_tail t ~active >= 0
+  do
+    let victim = lru_tail t ~active in
+    incr attempts;
+    check_mapped t victim;
+    Lru.remove t.lru victim;
+    fclear t victim Page_flags.referenced;
+    if swap_out t victim then begin
+      ev t Telemetry.Event.Forced_eviction victim
+        (Process.pid (owner_proc t victim));
+      t.stats.Vm_stats.forced_evictions <- t.stats.Vm_stats.forced_evictions + 1;
+      let pstats = Process.stats (owner_proc t victim) in
+      pstats.Vm_stats.forced_evictions <- pstats.Vm_stats.forced_evictions + 1
+    end
+  done;
+  !attempts
+
+(* The body of [reclaim]: the cooperative pass, then desperation. *)
+let reclaim_pass t ~required ~target =
+  let budget = (4 * (Lru.active_size t.lru + Lru.inactive_size t.lru)) + 64 in
+  let scanned = ref 0 in
+  while free_frames t < target && !scanned < budget do
+    incr scanned;
+    if Lru.inactive_size t.lru = 0 then begin
+      if refill_inactive t t.reclaim_batch = 0 then
+        raise
+          (Thrashing
+             (Printf.sprintf
+                "need %d free frames but all %d resident pages are pinned \
+                 or unreclaimable"
+                target t.resident))
+    end
+    else begin
+      let victim = Lru.inactive_tail t.lru in
+      if victim >= 0 then begin
+        check_mapped t victim;
+        Lru.remove t.lru victim;
+        if fget t victim Page_flags.referenced then begin
+          (* second chance; a touch also cancels a pending surrender
+             (the page's owner was already told it reloaded) *)
+          fclear t victim Page_flags.referenced;
+          fclear t victim Page_flags.surrendered;
+          Lru.push_active_head t.lru victim
+        end
+        else if fget t victim Page_flags.surrendered then
+          ignore (swap_out t victim)
+        else begin
+          (* Pre-eviction notice: the page is still resident and its
+             owner may react before the PTE is unmapped. Only
+             registered owners receive (and are billed for) one; the
+             fault plan may lose or hold the signal, in which case the
+             eviction proceeds as if the owner stayed silent. *)
+          (match Process.handlers (owner_proc t victim) with
+          | Some h ->
+              route_notice t Fault_plan.Eviction victim (fun () ->
+                  deliver_eviction_notice t h victim)
+          | None -> ());
+          if Lru.mem t.lru victim then
+            (* handler repositioned the page (vm_relinquish) *)
+            ()
+          else if pstate t victim <> st_resident then
+            (* handler discarded it *)
+            ()
+          else if
+            free_frames t >= target || fget t victim Page_flags.referenced
+          then begin
+            (* pressure relieved, or the owner vetoed by touching *)
+            fclear t victim Page_flags.referenced;
+            Lru.push_active_head t.lru victim
+          end
+          else ignore (swap_out t victim)
+        end
+      end
+    end
+  done;
+  (* Desperation: the cooperative pass failed (every candidate vetoed or
+     re-referenced). A real kernel overrides user hints under severe
+     pressure: evict the coldest unpinned pages without notices. A failed
+     swap write re-queues the victim, so the attempts are bounded or a
+     permanently full device would spin forever. *)
+  if free_frames t < required then begin
+    let max_attempts = (2 * t.resident) + 16 in
+    let attempts = steal t ~required ~max_attempts ~active:false 0 in
+    ignore (steal t ~required ~max_attempts ~active:true attempts : int)
+  end;
+  if free_frames t < required then
+    raise
+      (Thrashing
+         (Printf.sprintf "reclaim gave up: %d free of %d required"
+            (free_frames t) required));
+  ev t Telemetry.Event.Gauge_resident t.resident (free_frames t)
 
 (* Reclaim frames until [free_frames t >= target], raising only when even
    [required] frames cannot be freed (the batch beyond [required] is
    opportunistic clustering). Delivers pre-eviction notices to registered
    owners; handlers may veto (touch), discard (madvise) or surrender
-   (vm_relinquish) pages, all of which this loop observes. *)
+   (vm_relinquish) pages, all of which this loop observes. Not
+   re-entrant: a handler's own faults find [in_reclaim] set and return,
+   and every exit, raising or not, clears it. *)
 let reclaim t ~required ~target =
-  if t.in_reclaim then ()
-  else begin
+  if not t.in_reclaim then begin
     t.in_reclaim <- true;
-    Fun.protect ~finally:(fun () -> t.in_reclaim <- false) @@ fun () ->
-    let budget =
-      (4 * (Lru.active_size t.lru + Lru.inactive_size t.lru)) + 64
-    in
-    let scanned = ref 0 in
-    while free_frames t < target && !scanned < budget do
-      incr scanned;
-      if Lru.inactive_size t.lru = 0 then begin
-        if refill_inactive t t.reclaim_batch = 0 then
-          raise
-            (Thrashing
-               (Printf.sprintf
-                  "need %d free frames but all %d resident pages are pinned \
-                   or unreclaimable"
-                  target t.resident))
-      end
-      else begin
-        match Lru.inactive_tail t.lru with
-        | None -> ()
-        | Some victim ->
-            check_mapped t victim;
-            Lru.remove t.lru victim;
-            if fget t victim Page_flags.referenced then begin
-              (* second chance; a touch also cancels a pending surrender
-                 (the page's owner was already told it reloaded) *)
-              fclear t victim Page_flags.referenced;
-              fclear t victim Page_flags.surrendered;
-              Lru.push_active_head t.lru victim
-            end
-            else if fget t victim Page_flags.surrendered then
-              ignore (swap_out t victim)
-            else begin
-              (* Pre-eviction notice: the page is still resident and its
-                 owner may react before the PTE is unmapped. Only
-                 registered owners receive (and are billed for) one; the
-                 fault plan may lose or hold the signal, in which case the
-                 eviction proceeds as if the owner stayed silent. *)
-              (match Process.handlers (owner_proc t victim) with
-              | Some h ->
-                  route_notice t Fault_plan.Eviction victim (fun () ->
-                      deliver_eviction_notice t h victim)
-              | None -> ());
-              if Lru.membership t.lru victim <> None then
-                (* handler repositioned the page (vm_relinquish) *)
-                ()
-              else if pstate t victim <> st_resident then
-                (* handler discarded it *)
-                ()
-              else if
-                free_frames t >= target || fget t victim Page_flags.referenced
-              then begin
-                (* pressure relieved, or the owner vetoed by touching *)
-                fclear t victim Page_flags.referenced;
-                Lru.push_active_head t.lru victim
-              end
-              else ignore (swap_out t victim)
-            end
-      end
-    done;
-    (* Desperation: the cooperative pass failed (every candidate vetoed or
-       re-referenced). A real kernel overrides user hints under severe
-       pressure: evict the coldest unpinned pages without notices. *)
-    if free_frames t < required then begin
-      (* A failed swap write re-queues the victim, so bound the number of
-         attempts or a permanently full device would spin forever. *)
-      let attempts = ref 0 in
-      let max_attempts = (2 * t.resident) + 16 in
-      let steal tail remove =
-        while
-          free_frames t < required && !attempts < max_attempts
-          && tail () <> None
-        do
-          match tail () with
-          | None -> ()
-          | Some victim ->
-              incr attempts;
-              check_mapped t victim;
-              remove victim;
-              fclear t victim Page_flags.referenced;
-              if swap_out t victim then begin
-                ev t Telemetry.Event.Forced_eviction victim
-                  (Process.pid (owner_proc t victim));
-                t.stats.Vm_stats.forced_evictions <-
-                  t.stats.Vm_stats.forced_evictions + 1;
-                let pstats = Process.stats (owner_proc t victim) in
-                pstats.Vm_stats.forced_evictions <-
-                  pstats.Vm_stats.forced_evictions + 1
-              end
-        done
-      in
-      steal (fun () -> Lru.inactive_tail t.lru) (Lru.remove t.lru);
-      steal (fun () -> Lru.active_tail t.lru) (Lru.remove t.lru)
-    end;
-    if free_frames t < required then
-      raise
-        (Thrashing
-           (Printf.sprintf "reclaim gave up: %d free of %d required"
-              (free_frames t) required));
-    ev t Telemetry.Event.Gauge_resident t.resident (free_frames t)
+    match reclaim_pass t ~required ~target with
+    | () -> t.in_reclaim <- false
+    | exception e ->
+        t.in_reclaim <- false;
+        raise e
   end
 
 (* Make room for one more resident page, freeing a cluster when memory is

@@ -211,6 +211,15 @@ let test_page_map () =
     (Array.to_list (PM.objects_on m 5));
   check Alcotest.int "other page kept" 1 (PM.count_on m 6);
   check Alcotest.int "empty page" 0 (PM.count_on m 99);
+  (* [copy_on] replaces a reused buffer's contents, in bucket order *)
+  ignore (PM.add m ~page:5 3 : int);
+  let buf = Repro_util.Vec.of_list [ 7; 8; 9; 10 ] in
+  PM.copy_on m 5 buf;
+  check (Alcotest.list Alcotest.int) "copy in bucket order" [ 2; 3 ]
+    (Repro_util.Vec.to_list buf);
+  PM.copy_on m 99 buf;
+  check Alcotest.int "copy of an empty page" 0 (Repro_util.Vec.length buf);
+  PM.remove m ~page:5 ~slot:(-1) ~moved:no_moves 3;
   Alcotest.check_raises "remove missing"
     (Invalid_argument "Page_map.remove: object #9 not on page 5") (fun () ->
       PM.remove m ~page:5 ~slot:(-1) ~moved:no_moves 9)

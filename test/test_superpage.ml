@@ -42,10 +42,7 @@ let test_alloc_alignment_and_ownership () =
       check Alcotest.bool "header page identified" true
         (Sp.is_header_page t sp.Sp.first_page);
       check Alcotest.bool "data page not header" false
-        (Sp.is_header_page t (sp.Sp.first_page + 1));
-      check (Alcotest.list Alcotest.int) "data pages"
-        [ sp.Sp.first_page + 1; sp.Sp.first_page + 2; sp.Sp.first_page + 3 ]
-        (Sp.data_pages sp)
+        (Sp.is_header_page t (sp.Sp.first_page + 1))
 
 let test_scalar_array_segregation () =
   let _, t = fixture () in
@@ -118,7 +115,7 @@ let test_cells_overlapping_page () =
     List.fold_left
       (fun acc page -> acc + Sp.cells_overlapping_page sp page)
       (Sp.cells_overlapping_page sp sp.Sp.first_page)
-      (Sp.data_pages sp)
+      [ sp.Sp.first_page + 1; sp.Sp.first_page + 2; sp.Sp.first_page + 3 ]
   in
   check Alcotest.bool "overlap count covers all cells" true
     (total >= sp.Sp.cells_total)
@@ -144,6 +141,101 @@ let test_free_cell_and_recycle () =
   in
   check Alcotest.int "reused without growth" sp.Sp.index sp2.Sp.index
 
+(* ------------------------------------------------------------------ *)
+(* Vacancy test: [is_vacant] reads one page-map bucket length per page;
+   [live_count] hashes every placed object. They must agree.           *)
+
+(* Place a fresh object of [bytes] in a superpage cell, as BC does. *)
+let place_object (m : Mini.machine) t ~bytes ~kind =
+  let addr =
+    Sp.alloc t ~bytes ~kind ~grow:(fun () -> true) ~resident:(fun _ -> true)
+  in
+  assert (addr >= 0);
+  let objects = Heapsim.Heap.objects m.Mini.heap in
+  let id = Heapsim.Object_table.alloc objects ~size:bytes ~nrefs:0 ~kind:`Scalar in
+  Heapsim.Heap.place m.Mini.heap id ~addr;
+  (id, addr, Option.get (Sp.sp_of_addr t addr))
+
+let remove_object (m : Mini.machine) t (id, addr, sp) =
+  Heapsim.Heap.free_object m.Mini.heap id;
+  Sp.free_cell t sp ~addr
+
+let vacancy_agrees t =
+  let ok = ref true in
+  Sp.iter_sps t (fun sp ->
+      if Sp.is_vacant t sp <> (Sp.live_count t sp = 0) then ok := false);
+  !ok
+
+(* A fresh superpage hands out its highest cell first, so the first
+   small object lands on the last data page and nowhere else: a test
+   that looked at the first page (or the header page) alone would call
+   the superpage empty. *)
+let test_vacancy_last_page () =
+  let m, t = fixture () in
+  let ((_, addr, sp) as o) = place_object m t ~bytes:64 ~kind:Sp.Scalar in
+  check Alcotest.int "object on the last data page only"
+    (sp.Sp.first_page + Vmsim.Page.pages_per_superpage - 1)
+    (Vmsim.Page.of_addr addr);
+  check Alcotest.int "live count" 1 (Sp.live_count t sp);
+  check Alcotest.bool "not vacant" false (Sp.is_vacant t sp);
+  Sp.recycle_empty t ~resident:(fun _ -> true);
+  check Alcotest.bool "occupied superpage not recycled" true
+    (sp.Sp.cells_total > 0);
+  remove_object m t o;
+  check Alcotest.bool "vacant once freed" true (Sp.is_vacant t sp);
+  Sp.recycle_empty t ~resident:(fun _ -> true);
+  check Alcotest.int "then recycled" 0 sp.Sp.cells_total
+
+type vacancy_op = Place of int * bool | Remove of int | Recycle
+
+let show_vacancy_op = function
+  | Place (bytes, array) ->
+      Printf.sprintf "place %d%s" bytes (if array then " array" else "")
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Recycle -> "recycle"
+
+(* Few cells per superpage (up to 8180 bytes: two per superpage, each
+   spanning pages) so that removals often empty one; recycling reassigns
+   emptied superpages to other classes. *)
+let arb_vacancy_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 4,
+          map2
+            (fun bytes array -> Place (bytes, array))
+            (oneofl [ 16; 64; 700; 2000; 3000; 4100; 5000; 8180 ])
+            bool );
+        (3, map (fun i -> Remove i) nat);
+        (1, return Recycle);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_vacancy_op ops))
+    (list_size (int_range 1 200) op)
+
+let prop_vacancy_matches_live_count =
+  QCheck.Test.make ~name:"is_vacant iff live_count = 0" ~count:200
+    arb_vacancy_ops (fun ops ->
+      let m, t = fixture () in
+      let live = Repro_util.Vec.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Place (bytes, array) ->
+              Repro_util.Vec.push live
+                (place_object m t ~bytes
+                   ~kind:(if array then Sp.Array else Sp.Scalar))
+          | Remove i when not (Repro_util.Vec.is_empty live) ->
+              remove_object m t
+                (Repro_util.Vec.swap_remove live
+                   (i mod Repro_util.Vec.length live))
+          | Remove _ -> ()
+          | Recycle -> Sp.recycle_empty t ~resident:(fun _ -> true));
+          vacancy_agrees t)
+        ops)
+
 let () =
   Alcotest.run "superpage"
     [
@@ -159,5 +251,10 @@ let () =
           Alcotest.test_case "cell overlap census" `Quick
             test_cells_overlapping_page;
           Alcotest.test_case "free + recycle" `Quick test_free_cell_and_recycle;
+          Alcotest.test_case "vacancy sees the last page" `Quick
+            test_vacancy_last_page;
         ] );
+      ( "vacancy",
+        List.map QCheck_alcotest.to_alcotest [ prop_vacancy_matches_live_count ]
+      );
     ]

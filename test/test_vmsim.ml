@@ -13,25 +13,21 @@ let test_lru_push_remove () =
   let l = Lru.create () in
   Lru.push_active_head l 1;
   Lru.push_active_head l 2;
-  check (Alcotest.option Alcotest.int) "active tail is first pushed" (Some 1)
-    (Lru.active_tail l);
+  check Alcotest.int "active tail is first pushed" 1 (Lru.active_tail l);
   check Alcotest.int "active size" 2 (Lru.active_size l);
   Lru.remove l 1;
-  check (Alcotest.option Alcotest.int) "tail after remove" (Some 2)
-    (Lru.active_tail l);
+  check Alcotest.int "tail after remove" 2 (Lru.active_tail l);
   Lru.remove l 2;
-  check (Alcotest.option Alcotest.int) "empty" None (Lru.active_tail l)
+  check Alcotest.int "empty" (-1) (Lru.active_tail l)
 
 let test_lru_inactive_order () =
   let l = Lru.create () in
   Lru.push_inactive_head l 1;
   Lru.push_inactive_head l 2;
   (* reclaim happens at the tail: 1 went in first, sits at tail *)
-  check (Alcotest.option Alcotest.int) "fifo victim" (Some 1)
-    (Lru.inactive_tail l);
+  check Alcotest.int "fifo victim" 1 (Lru.inactive_tail l);
   Lru.push_inactive_tail l 3;
-  check (Alcotest.option Alcotest.int) "tail insert is next victim" (Some 3)
-    (Lru.inactive_tail l)
+  check Alcotest.int "tail insert is next victim" 3 (Lru.inactive_tail l)
 
 let test_lru_membership () =
   let l = Lru.create () in
@@ -41,7 +37,8 @@ let test_lru_membership () =
   Lru.push_inactive_head l 7;
   check Alcotest.bool "inactive member" true
     (Lru.membership l 7 = Some Lru.Inactive);
-  check Alcotest.bool "non member" true (Lru.membership l 8 = None)
+  check Alcotest.bool "non member" true (Lru.membership l 8 = None);
+  check Alcotest.bool "mem agrees" true (Lru.mem l 7 && not (Lru.mem l 8))
 
 let test_lru_double_insert_rejected () =
   let l = Lru.create () in
@@ -81,8 +78,7 @@ let test_lru_giant_pages () =
   Lru.push_inactive_head l (giant + 100_000);
   check Alcotest.bool "giant active member" true
     (Lru.membership l giant = Some Lru.Active);
-  check (Alcotest.option Alcotest.int) "giant inactive ordering" (Some 3)
-    (Lru.inactive_tail l);
+  check Alcotest.int "giant inactive ordering" 3 (Lru.inactive_tail l);
   Lru.remove l giant;
   check Alcotest.bool "giant removed" true (Lru.membership l giant = None);
   check Alcotest.bool "untouched giant region absent" false
@@ -371,7 +367,12 @@ let test_thrashing_when_all_pinned () =
   check Alcotest.bool "thrashing raised" true
     (match Vmm.touch vmm 4 with
     | () -> false
-    | exception Vmm.Thrashing _ -> true)
+    | exception Vmm.Thrashing _ -> true);
+  (* the raise left reclaim usable: with a page unpinned it evicts again *)
+  Vmm.munlock vmm 0;
+  Vmm.touch vmm 4;
+  check Alcotest.bool "reclaim ran after the raise" true
+    (Vmm.resident_count vmm <= 4 && not (Vmm.is_resident vmm 0))
 
 let test_desperation_overrides_veto () =
   let _, vmm, proc = machine ~frames:4 () in
